@@ -253,6 +253,7 @@ class LatencyRow:
     window_size: int
     median_seconds: float
     p95_seconds: float
+    min_seconds: float
 
 
 def _synthetic_events(count: int, alphabet_size: int, cases: int = 5) -> list[Event]:
@@ -262,6 +263,21 @@ def _synthetic_events(count: int, alphabet_size: int, cases: int = 5) -> list[Ev
     ]
 
 
+def _time_one_window(events: Sequence[Event]) -> float:
+    window = AdaptiveWindow(
+        SpeciesView(ViewConfig()), ThresholdState(), min_window_size=len(events)
+    )
+    start = time.perf_counter()
+    record = None
+    for event in events:
+        record = window.process_event(event)
+        if record is not None:
+            break
+    if record is None:
+        window.flush(None)
+    return time.perf_counter() - start
+
+
 def measure_latency(
     sizes: Sequence[int],
     trials: int = 7,
@@ -269,36 +285,28 @@ def measure_latency(
 ) -> list[LatencyRow]:
     """Wall time from first event to window emission, per target size.
 
-    Each trial drives a fresh adaptive pipeline whose minimum window size
-    pins the close to exactly ``n`` events, so the measurement covers the
-    full per-event path (species extraction, estimation, threshold
-    update) plus the close itself.
+    Each sample drives a fresh adaptive pipeline whose minimum window
+    size pins the close to exactly ``n`` events, so the measurement
+    covers the full per-event path (species extraction, estimation,
+    threshold update) plus the close itself.  Every trial visits all
+    sizes in turn, so a slow spell of the machine lands on several sizes
+    instead of on all trials of one; ``min_seconds``, the fastest trial,
+    is the estimate least disturbed by such spells.
     """
-    rows = []
-    for n in sizes:
-        events = _synthetic_events(n, alphabet_size)
-        samples = []
-        for _ in range(trials):
-            window = AdaptiveWindow(
-                SpeciesView(ViewConfig()), ThresholdState(), min_window_size=n
-            )
-            start = time.perf_counter()
-            record = None
-            for event in events:
-                record = window.process_event(event)
-                if record is not None:
-                    break
-            if record is None:
-                window.flush(None)
-            samples.append(time.perf_counter() - start)
-        rows.append(
-            LatencyRow(
-                window_size=n,
-                median_seconds=float(np.median(samples)),
-                p95_seconds=float(np.percentile(samples, 95)),
-            )
+    streams = [_synthetic_events(n, alphabet_size) for n in sizes]
+    samples: list[list[float]] = [[] for _ in sizes]
+    for _ in range(trials):
+        for events, out in zip(streams, samples):
+            out.append(_time_one_window(events))
+    return [
+        LatencyRow(
+            window_size=n,
+            median_seconds=float(np.median(times)),
+            p95_seconds=float(np.percentile(times, 95)),
+            min_seconds=min(times),
         )
-    return rows
+        for n, times in zip(sizes, samples)
+    ]
 
 
 def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -18,6 +18,7 @@ import signal
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Sequence
 
 from . import bench, driftgen
@@ -377,17 +378,26 @@ def cmd_bench_latency(args: argparse.Namespace) -> int:
         print(
             f"window_size={row.window_size} "
             f"median_seconds={_fmt(row.median_seconds)} "
-            f"p95_seconds={_fmt(row.p95_seconds)}"
+            f"p95_seconds={_fmt(row.p95_seconds)} "
+            f"min_seconds={_fmt(row.min_seconds)}"
         )
     r2 = bench.linear_fit_r2(
-        [r.window_size for r in rows], [r.median_seconds for r in rows]
+        [r.window_size for r in rows], [r.min_seconds for r in rows]
     )
     print(f"latency_fit_r2={_fmt(r2)}")
     if args.outdir:
         write_metrics_csv(
             _outpath(args.outdir, "latency.csv"),
-            ("window_size", "median_seconds", "p95_seconds"),
-            [(r.window_size, _fmt(r.median_seconds), _fmt(r.p95_seconds)) for r in rows],
+            ("window_size", "median_seconds", "p95_seconds", "min_seconds"),
+            [
+                (
+                    r.window_size,
+                    _fmt(r.median_seconds),
+                    _fmt(r.p95_seconds),
+                    _fmt(r.min_seconds),
+                )
+                for r in rows
+            ],
         )
     return 0
 
@@ -465,33 +475,11 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
         spec = replace(spec, seed=args.seed)
     events, annotations = driftgen.generate(spec)
 
-    def view() -> SpeciesView:
-        return SpeciesView(
-            ViewConfig(
-                kind=args.view, ngram_order=args.ngram, case_timeout=args.case_timeout
-            )
-        )
-
     factories: dict[str, Callable[[], bench.Strategy]] = {
-        "adaptive": lambda: AdaptiveWindow(
-            view(),
-            ThresholdState(
-                ct=args.ct0,
-                sf=args.sf0,
-                dr=args.dr,
-                mt=args.mt,
-                delta=args.delta,
-                w=args.stagnation_window,
-            ),
-            min_window_size=args.min_window_size,
-        ),
-        "count_tumbling": lambda: BaselineWindow(
-            view(), BaselineConfig(COUNT_TUMBLING, count=args.count)
-        ),
-        "landmark": lambda: BaselineWindow(
-            view(),
-            BaselineConfig(LANDMARK, landmark_activity=args.landmark_activity),
-        ),
+        name: partial(
+            _make_strategy, argparse.Namespace(**{**vars(args), "strategy": name})
+        )
+        for name in ("adaptive", COUNT_TUMBLING, LANDMARK)
     }
     summaries = bench.accuracy_by_strategy(
         events, annotations.pool_per_case, spec.pools, factories

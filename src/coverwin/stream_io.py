@@ -12,7 +12,6 @@ Outputs: window records as JSON lines, metric series as CSV.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import queue
 import socketserver
@@ -383,10 +382,6 @@ def window_record_to_json(record: WindowRecord) -> str:
         },
         separators=(",", ":"),
     )
-
-
-def write_window_record(record: WindowRecord, fp: io.TextIOBase) -> None:
-    fp.write(window_record_to_json(record) + "\n")
 
 
 def parse_window_record(line: str) -> WindowRecord:

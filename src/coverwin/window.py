@@ -68,17 +68,18 @@ def _is_stagnant(history: Sequence[float], state: ThresholdState) -> bool:
     )
 
 
-def _step(state: ThresholdState, c_optimal: float, stagnant: bool) -> ThresholdState:
-    """Apply one adjustment given the curve evidence already extracted."""
+def _next_threshold(
+    ct: float, sf: float, dr: float, mt: float, c_optimal: float, stagnant: bool
+) -> tuple[float, float]:
+    """Next ``(ct, sf)`` given the curve evidence already extracted."""
     if stagnant:
-        sf = min(SF_GROWTH * state.sf, SF_CEILING)
-        ct_temp = max(state.ct - state.dr, state.mt)
+        sf = min(SF_GROWTH * sf, SF_CEILING)
+        ct_temp = max(ct - dr, mt)
     else:
-        sf = max(SF_DECAY * state.sf, SF_FLOOR)
-        ct_temp = state.ct
+        sf = max(SF_DECAY * sf, SF_FLOOR)
+        ct_temp = ct
     ct = sf * c_optimal + (1.0 - sf) * ct_temp
-    ct = min(max(ct, state.mt), CT_CEILING)
-    return replace(state, ct=ct, sf=sf)
+    return min(max(ct, mt), CT_CEILING), sf
 
 
 def update_threshold(history: Sequence[float], state: ThresholdState) -> ThresholdState:
@@ -103,8 +104,15 @@ def update_threshold(history: Sequence[float], state: ThresholdState) -> Thresho
         if r2 > best:
             best = r2
             best_i = i
-    c_optimal = history[best_i + 1]
-    return _step(state, c_optimal, _is_stagnant(history, state))
+    ct, sf = _next_threshold(
+        state.ct,
+        state.sf,
+        state.dr,
+        state.mt,
+        history[best_i + 1],
+        _is_stagnant(history, state),
+    )
+    return replace(state, ct=ct, sf=sf)
 
 
 @dataclass(frozen=True)
@@ -154,11 +162,19 @@ class AdaptiveWindow:
     """Accumulates events until the window looks representative.
 
     ``process_event`` returns the closed window record when this event
-    completed one, else None.  The per-event threshold update keeps a
-    running maximum over the curvature values instead of rescanning the
-    history: curvature points are append-only and ties go to the earliest
-    index either way, so the result is identical to ``update_threshold``
-    on the full history while staying O(1) per event.
+    completed one, else None.  The threshold parameters are read from the
+    given ``ThresholdState`` once; only ``ct`` and ``sf`` move per event.
+    Both pieces of curve evidence are kept in O(1) per event and give the
+    same result as ``update_threshold`` on the full history:
+
+    - the elbow is a running argmax over the curvature values: curvature
+      points are append-only and ties go to the earliest index either
+      way, so only the newest interior point can take over;
+    - stagnation is a run-length counter of consecutive coverage moves
+      smaller than ``delta``: the last ``w`` points moved by less than
+      ``delta`` each exactly when that run is at least ``w - 1`` long.
+
+    Both restart with the window's coverage curve on close.
     """
 
     def __init__(
@@ -169,15 +185,28 @@ class AdaptiveWindow:
     ) -> None:
         if min_window_size < 1:
             raise ValueError("min_window_size must be at least 1")
+        params = threshold if threshold is not None else ThresholdState()
         self.view = view
-        self.threshold = threshold if threshold is not None else ThresholdState()
         self.min_window_size = min_window_size
         self.windows_closed = 0
+        self._params = params
+        self._ct = params.ct
+        self._sf = params.sf
+        self._dr = params.dr
+        self._mt = params.mt
+        self._delta = params.delta
+        self._stagnant_run = params.w - 1
         self._buffer: list[Event] = []
         self._stats = AbundanceStats()
         self._history: list[float] = []
+        self._flat_run = 0
         self._best_r2 = -math.inf
-        self._best_i = 0
+        self._c_optimal = 0.0
+
+    @property
+    def threshold(self) -> ThresholdState:
+        """Snapshot of the current threshold state."""
+        return replace(self._params, ct=self._ct, sf=self._sf)
 
     @property
     def coverage_history(self) -> tuple[float, ...]:
@@ -194,17 +223,37 @@ class AdaptiveWindow:
 
     def process_event(self, event: Event) -> WindowRecord | None:
         self._buffer.append(event)
+        stats = self._stats
         for species in self.view.extract(event):
-            self._stats.observe(species)
+            stats.observe(species)
         # completed-case species (trace variants) belong to the window
         # that is open when the completion is detected
         for species in self.view.flush_cases(event.timestamp):
-            self._stats.observe(species)
-        cov = coverage_of(self._stats)
-        self._history.append(cov)
-        if len(self._history) >= 3:
-            self._update_threshold()
-        if cov >= self.threshold.ct and len(self._buffer) >= self.min_window_size:
+            stats.observe(species)
+        cov = coverage_of(stats)
+        h = self._history
+        h.append(cov)
+        n = len(h)
+        if n >= 2:
+            if abs(h[n - 2] - cov) < self._delta:
+                self._flat_run += 1
+            else:
+                self._flat_run = 0
+            if n >= 3:
+                # only the newest interior point n-2 is a new elbow candidate
+                r2 = h[n - 3] - 2.0 * h[n - 2] + cov
+                if r2 > self._best_r2:
+                    self._best_r2 = r2
+                    self._c_optimal = cov
+                self._ct, self._sf = _next_threshold(
+                    self._ct,
+                    self._sf,
+                    self._dr,
+                    self._mt,
+                    self._c_optimal,
+                    self._flat_run >= self._stagnant_run,
+                )
+        if cov >= self._ct and len(self._buffer) >= self.min_window_size:
             return self._close(force=False)
         return None
 
@@ -220,32 +269,18 @@ class AdaptiveWindow:
             return None
         return self._close(force=True)
 
-    def _update_threshold(self) -> None:
-        h = self._history
-        n = len(h)
-        # only the newest interior point i = n-2 is a new curvature candidate
-        i = n - 2
-        r2 = h[i - 1] - 2.0 * h[i] + h[i + 1]
-        if r2 > self._best_r2:
-            self._best_r2 = r2
-            self._best_i = i
-        c_optimal = h[self._best_i + 1]
-        self.threshold = _step(
-            self.threshold, c_optimal, _is_stagnant(h, self.threshold)
-        )
-
     def _close(self, force: bool) -> WindowRecord:
         record = build_record(
             self.windows_closed,
             self._buffer,
             self._stats,
-            self.threshold.ct,
+            self._ct,
             force_closed=force,
         )
         self.windows_closed += 1
         self._buffer = []
         self._stats.reset()
         self._history = []
+        self._flat_run = 0
         self._best_r2 = -math.inf
-        self._best_i = 0
         return record

@@ -235,6 +235,7 @@ def test_measure_latency_shape():
     for row in rows:
         assert row.median_seconds > 0
         assert row.p95_seconds >= row.median_seconds
+        assert 0 < row.min_seconds <= row.median_seconds
 
 
 def test_measure_throughput(tmp_path):

@@ -288,7 +288,7 @@ def test_bench_latency(tmp_path, capsys):
     assert "window_size=5" in out
     assert "latency_fit_r2=" in out
     rows = read_csv(str(tmp_path / "latency.csv"))
-    assert rows[0] == ["window_size", "median_seconds", "p95_seconds"]
+    assert rows[0] == ["window_size", "median_seconds", "p95_seconds", "min_seconds"]
     assert len(rows) == 3
 
 

@@ -138,6 +138,36 @@ def test_incremental_threshold_matches_batch(kind, alphabet):
     assert adaptive_run(events, config, state0, 5) == (cts, closes)
 
 
+@st.composite
+def threshold_states(draw):
+    mt = draw(st.floats(0.05, 0.95))
+    return ThresholdState(
+        ct=draw(st.floats(mt, CT_CEILING)),
+        sf=draw(st.floats(SF_FLOOR, SF_CEILING)),
+        dr=draw(st.floats(0.005, 0.5)),
+        mt=mt,
+        delta=draw(st.floats(1e-4, 0.2)),
+        w=draw(st.integers(2, 9)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state0=threshold_states(),
+    min_size=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+    alphabet=st.integers(2, 10),
+)
+def test_incremental_matches_batch_for_any_threshold_parameters(
+    state0, min_size, seed, alphabet
+):
+    events = random_events(seed=seed, count=150, alphabet=alphabet, cases=4)
+    for kind in (ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT):
+        config = ViewConfig(kind, ngram_order=1, case_timeout=500)
+        cts, closes, _ = batch_reference_run(events, config, state0, min_size)
+        assert adaptive_run(events, config, state0, min_size) == (cts, closes)
+
+
 # --- window lifecycle --------------------------------------------------------
 
 

@@ -19,9 +19,9 @@ import sys
 import threading
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import bench, driftgen
+from . import driftgen
 from .abundance import AbundanceStats, estimates
 from .baselines import (
     BASELINE_KINDS,
@@ -45,6 +45,11 @@ from .stream_io import (
 )
 from .views import VIEW_KINDS, SpeciesView, ViewConfig
 from .window import AdaptiveWindow, ThresholdState, WindowRecord
+
+# bench imports numpy, which costs every other command start-up time and
+# memory; the bench commands import it when they run
+if TYPE_CHECKING:
+    from .bench import Strategy
 
 SIZES_HEADER = ("index", "size", "first_ts", "last_ts", "coverage", "threshold")
 
@@ -210,7 +215,7 @@ def _make_view(args: argparse.Namespace) -> SpeciesView:
     )
 
 
-def _make_strategy(args: argparse.Namespace) -> bench.Strategy:
+def _make_strategy(args: argparse.Namespace) -> Strategy:
     view = _make_view(args)
     if args.strategy == "adaptive":
         threshold = ThresholdState(
@@ -373,6 +378,8 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_latency(args: argparse.Namespace) -> int:
+    from . import bench
+
     rows = bench.measure_latency(args.sizes, trials=args.trials)
     for row in rows:
         print(
@@ -403,6 +410,8 @@ def cmd_bench_latency(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_throughput(args: argparse.Namespace) -> int:
+    from . import bench
+
     source = _make_source(args)
     report = bench.measure_throughput(source, lambda: _make_strategy(args), args.runs)
     print(
@@ -420,6 +429,8 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_drift(args: argparse.Namespace) -> int:
+    from . import bench
+
     spec = driftgen.builtin_scenario(args.scenario)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -470,12 +481,14 @@ def cmd_bench_drift(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
+    from . import bench
+
     spec = driftgen.builtin_scenario(args.scenario)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     events, annotations = driftgen.generate(spec)
 
-    factories: dict[str, Callable[[], bench.Strategy]] = {
+    factories: dict[str, Callable[[], Strategy]] = {
         name: partial(
             _make_strategy, argparse.Namespace(**{**vars(args), "strategy": name})
         )

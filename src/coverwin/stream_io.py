@@ -19,20 +19,23 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Iterable, Sequence
+from json.scanner import make_scanner
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .views import SEPARATOR, Event
 from .window import WindowRecord
 
 FILE_JSONL = "file_jsonl"
 FILE_CSV = "file_csv"
-TCP_LISTEN = "tcp_listen"
-SOURCE_KINDS = (FILE_JSONL, FILE_CSV, TCP_LISTEN)
+SOURCE_KINDS = (FILE_JSONL, FILE_CSV)
 
 CSV_HEADER = ("case_id", "activity", "timestamp")
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
+
+# the C scanner behind json.loads, called directly on lines it reads whole
+_scan_json = make_scanner(json.JSONDecoder())
 
 
 class ParseError(ValueError):
@@ -108,16 +111,29 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
     """
     if fmt == "jsonl":
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
+            obj, end = _scan_json(line, 0)
+            if end != len(line) and line[end:] != "\n":
+                raise ValueError("more than a newline after the value")
+        except Exception:
+            # surrounding whitespace, a BOM, trailing data or a failed scan:
+            # json.loads decides, and words every error
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
         if not isinstance(obj, dict):
             raise ParseError("bad_json", "event line must be a JSON object", line_no)
-        if not {"case", "activity", "timestamp"} <= obj.keys():
+        try:
+            case, activity, timestamp = obj["case"], obj["activity"], obj["timestamp"]
+        except KeyError:
             raise ParseError(
                 "missing_field", "need keys case, activity, timestamp", line_no
-            )
-        return _make_event(obj["case"], obj["activity"], obj["timestamp"], line_no)
+            ) from None
+        if type(case) is str and type(activity) is str and type(timestamp) is int:
+            case_id, name = case.strip(), activity.strip()
+            if case_id and name and SEPARATOR not in name:
+                return Event(case_id, name, timestamp)
+        return _make_event(case, activity, timestamp, line_no)
     if fmt == "csv":
         row = next(csv.reader([line]))
         if len(row) != len(CSV_HEADER):
@@ -130,11 +146,11 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Where events come from and how strictly to treat their order.
+    """Which event file to replay and how strictly to treat its order.
 
     ``replay_speed`` of None replays as fast as possible; a positive
     multiplier paces delivery against the event timestamps (1.0 is
-    real time).  For ``tcp_listen`` the path is ignored.
+    real time).
     """
 
     kind: str
@@ -145,7 +161,7 @@ class SourceConfig:
     def __post_init__(self) -> None:
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind: {self.kind!r}")
-        if self.kind in (FILE_JSONL, FILE_CSV) and not self.path:
+        if not self.path:
             raise ValueError("file sources need a path")
         if self.replay_speed is not None and self.replay_speed <= 0:
             raise ValueError("replay_speed must be positive")
@@ -171,8 +187,6 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     regression; lenient ordering drops and counts regressing events.
     Blank lines are skipped; the CSV header row is required.
     """
-    if source.kind not in (FILE_JSONL, FILE_CSV):
-        raise ValueError("replay only handles file sources")
     fmt = "csv" if source.kind == FILE_CSV else "jsonl"
     stats = ReplayStats()
     last_ts: int | None = None
@@ -229,21 +243,54 @@ class _TcpServer(socketserver.ThreadingTCPServer):
     owner: "StreamServer"
 
 
+_READ_SIZE = 65536
+
+
+def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str]]:
+    """The non-blank lines of a byte stream, one list per read that ends a line.
+
+    Each line is decoded as UTF-8 with bad bytes replaced and stripped,
+    as iterating the stream line by line would give it.  A line split
+    across reads is kept as fragments and joined once when its newline
+    arrives; a last line without a newline comes alone at EOF.
+    """
+    pending: list[bytes] = []
+    while chunk := read(_READ_SIZE):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        text = b"".join(pending).decode("utf-8", "replace")
+        pending = [chunk[cut:]] if cut < len(chunk) else []
+        yield [line for line in map(str.strip, text.split("\n")) if line]
+    tail = b"".join(pending).decode("utf-8", "replace").strip()
+    if tail:
+        yield [tail]
+
+
 class _StreamHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         owner = self.server.owner  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                event = parse_event(line, "jsonl")
-            except ParseError as exc:
-                owner._note_parse_error()
-                self._reply(f"ERR {exc.code}: {exc}")
-                continue
-            if not owner._enqueue(event) and owner.strict_order:
-                self._reply("ERR out_of_order: timestamp went backwards")
+        for lines in _split_reads(self.rfile.read1):
+            batch: list[Event] = []
+            for line in lines:
+                try:
+                    batch.append(parse_event(line, "jsonl"))
+                except ParseError as exc:
+                    # queue the events before a bad line ahead of its reply
+                    self._enqueue(owner, batch)
+                    batch = []
+                    owner._note_parse_error()
+                    self._reply(f"ERR {exc.code}: {exc}")
+            self._enqueue(owner, batch)
+
+    def _enqueue(self, owner: "StreamServer", batch: list[Event]) -> None:
+        if batch:
+            rejected = owner._enqueue_many(batch)
+            if owner.strict_order:
+                for _ in range(rejected):
+                    self._reply("ERR out_of_order: timestamp went backwards")
 
     def _reply(self, message: str) -> None:
         try:
@@ -264,12 +311,15 @@ class StreamServer:
     """Line-protocol TCP listener feeding one ordered pipeline.
 
     Each connection sends one JSON event per line.  Bad lines are
-    answered with ``ERR <code>: <detail>`` and the connection stays up.
-    Events from all connections pass through a single queue in arrival
-    order; a single consumer thread calls ``on_event``, so downstream
-    state needs no locking.  Timestamp regressions are rejected at the
-    door: silently counted in lenient mode, answered with an ERR line in
-    strict mode.  The server never crashes on a bad or out-of-order line.
+    answered with ``ERR <code>: <detail>`` and the connection stays up;
+    a connection's replies come in the order of its lines.  The events
+    parsed from one read of a connection enter a single queue as one
+    item, in arrival order; a single consumer thread calls ``on_event``
+    once per event, so downstream state needs no locking.  Timestamp
+    regressions are rejected at the door: silently counted in lenient
+    mode, answered with an ERR line in strict mode.  The server never
+    crashes on a bad or out-of-order line.  Events that arrive after
+    ``stop`` are counted as received and dropped.
     """
 
     def __init__(
@@ -284,6 +334,7 @@ class StreamServer:
         self.stats = ServerStats()
         self._lock = threading.Lock()
         self._last_ts: int | None = None
+        self._closed = False
         self._queue: queue.Queue = queue.Queue()
         self._server = _TcpServer((host, port), _StreamHandler)
         self._server.owner = self
@@ -308,8 +359,12 @@ class StreamServer:
         """Stop accepting, drain the queue, and return final counters."""
         self._server.shutdown()
         self._server.server_close()
-        if self._started:
+        # handler threads outlive server_close; whatever they enqueue from
+        # here on is dropped, never left behind _STOP
+        with self._lock:
+            self._closed = True
             self._queue.put(_STOP)
+        if self._started:
             self._consume_thread.join(timeout)
         return self.stats
 
@@ -317,25 +372,40 @@ class StreamServer:
         with self._lock:
             self.stats.parse_errors += 1
 
-    def _enqueue(self, event: Event) -> bool:
+    def _enqueue_many(self, batch: list[Event]) -> int:
+        """Queue the in-order events of ``batch`` as one item.
+
+        Returns how many were rejected for going back in time.
+        """
         # the order check and the queue position must be one atomic step,
         # otherwise two connections could interleave inconsistently
         with self._lock:
-            self.stats.received += 1
-            if self._last_ts is not None and event.timestamp < self._last_ts:
-                self.stats.dropped += 1
-                return False
-            self._last_ts = event.timestamp
-            self._queue.put(event)
-            return True
+            self.stats.received += len(batch)
+            if self._closed:
+                self.stats.dropped += len(batch)
+                return 0
+            last = self._last_ts
+            kept = []
+            for event in batch:
+                if last is None or event.timestamp >= last:
+                    last = event.timestamp
+                    kept.append(event)
+            self._last_ts = last
+            rejected = len(batch) - len(kept)
+            self.stats.dropped += rejected
+            if kept:
+                self._queue.put(kept)
+            return rejected
 
     def _consume(self) -> None:
+        on_event, stats = self.on_event, self.stats
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            batch = self._queue.get()
+            if batch is _STOP:
                 return
-            self.on_event(item)
-            self.stats.delivered += 1
+            for event in batch:
+                on_event(event)
+                stats.delivered += 1
 
 
 # --- serialization --------------------------------------------------------

@@ -459,3 +459,21 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert "events=900" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only the bench commands need numpy; analyze and listen start without it."""
+    src_dir = os.path.dirname(os.path.dirname(coverwin.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import coverwin.cli\n"
+        f"assert coverwin.cli.__file__.startswith({src_dir!r}), coverwin.cli.__file__\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import socket
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverwin import (
     Event,
@@ -20,6 +25,9 @@ from coverwin import (
 from coverwin.stream_io import (
     FILE_CSV,
     FILE_JSONL,
+    ServerStats,
+    _make_event,
+    _split_reads,
     event_to_json_line,
     parse_window_record,
     window_record_to_json,
@@ -112,6 +120,104 @@ def test_timestamp_forms(value, expected):
     else:
         line = f'{{"case": "c", "activity": "a", "timestamp": {value!r}}}'
     assert parse_event(line).timestamp == expected
+
+
+def reference_parse_jsonl(line, line_no=None):
+    """parse_event(line, "jsonl") as written before its scanner fast path."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
+    if not isinstance(obj, dict):
+        raise ParseError("bad_json", "event line must be a JSON object", line_no)
+    if not {"case", "activity", "timestamp"} <= obj.keys():
+        raise ParseError("missing_field", "need keys case, activity, timestamp", line_no)
+    return _make_event(obj["case"], obj["activity"], obj["timestamp"], line_no)
+
+
+def parse_outcome(parse, line, line_no):
+    try:
+        return parse(line, line_no=line_no)
+    except Exception as exc:  # ParseError, or whatever json.loads lets through
+        return (type(exc), getattr(exc, "code", None), str(exc))
+
+
+field_text = st.one_of(
+    st.sampled_from(["", " ", "a", " a ", "a|b", "\u2028", "7", "\x85b"]),
+    st.text(alphabet=st.sampled_from(" \t\n\u2028\x85ab|7:-TZ"), max_size=8),
+)
+field_values = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    field_text,
+    st.text(max_size=6),
+    st.sampled_from(["2014-10-22T11:15:41Z", " 42 ", "2014-10-22T11:15:41.250+02:00"]),
+)
+event_keys = ["case", "activity", "timestamp"]
+event_objects = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "case": field_text,
+            "activity": field_text,
+            "timestamp": st.integers() | st.booleans(),
+        }
+    ),
+    st.fixed_dictionaries(
+        dict.fromkeys(event_keys, field_values), optional={"extra": field_values}
+    ),
+    st.dictionaries(st.sampled_from(event_keys + ["extra"]), field_values),
+)
+json_bodies = st.one_of(
+    st.builds(
+        json.dumps,
+        event_objects,
+        ensure_ascii=st.booleans(),
+        separators=st.sampled_from([(",", ":"), (", ", ": ")]),
+    ),
+    st.one_of(  # nested, so that half of the bodies are event objects
+        st.builds(json.dumps, field_values),
+        st.builds(json.dumps, st.lists(field_values, max_size=3)),
+        st.text(max_size=20),
+    ),
+)
+affixes = st.sampled_from(["", " ", "\n", "\r\n", "\ufeff", "\x0b", ",1", "\t", "}", "\n\n"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    prefix=affixes,
+    body=json_bodies,
+    suffix=affixes,
+    line_no=st.one_of(st.none(), st.integers(1, 10**6)),
+)
+def test_parse_jsonl_fast_path_matches_json_loads(prefix, body, suffix, line_no):
+    line = prefix + body + suffix
+    assert parse_outcome(parse_event, line, line_no) == parse_outcome(
+        reference_parse_jsonl, line, line_no
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "\n",
+        "",
+        " ",
+        "\ufeff{}",
+        '{"case":"c","activity":"a","timestamp":1}\n\n',
+        '{"case":" ","activity":"a","timestamp":1}',
+        '{"case":"c","activity":"\\u2028","timestamp":1}\n',
+        '{"case":" c ","activity":" a|b ","timestamp":1}',
+        '{"case":"c","activity":"a","timestamp":true}',
+        '{"case":"c","activity":"a","timestamp":1.0}',
+    ],
+)
+def test_parse_jsonl_edge_lines_match_json_loads(line):
+    assert parse_outcome(parse_event, line, None) == parse_outcome(
+        reference_parse_jsonl, line, None
+    )
 
 
 # --- replay ------------------------------------------------------------------
@@ -359,3 +465,161 @@ def test_server_orders_across_connections():
         stats = server.stop()
     assert [ev.activity for ev in got] == ["A", "B"]
     assert stats.delivered == 2
+
+
+# --- batched TCP ingest ----------------------------------------------------------
+
+
+def chunked_reader(chunks):
+    """A ``read(n)`` over fixed chunks, then b"" for EOF."""
+    pending = iter(chunks)
+    return lambda _size: next(pending, b"")
+
+
+line_bytes = st.lists(
+    st.sampled_from([b"\n", b"\r\n", b"a", b" ", b"\x0b", b"\xe2\x82", b"\xac", b"\xff", "é".encode()]),
+    max_size=40,
+).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(line_bytes, st.binary(max_size=60)), cuts=st.lists(st.integers(0, 60)))
+def test_split_reads_gives_the_lines_of_line_iteration(data, cuts):
+    bounds = sorted({0, len(data), *(c for c in cuts if c < len(data))})
+    chunks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
+    got = [line for lines in _split_reads(chunked_reader(chunks)) for line in lines]
+    want = [raw.decode("utf-8", errors="replace").strip() for raw in io.BytesIO(data)]
+    assert got == [line for line in want if line]
+
+
+def send_and_close(address, chunks, pause=0.0):
+    """Send ``chunks``, half-close, and return the reply lines once the server hangs up."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for chunk in chunks:
+            sock.sendall(chunk)
+            time.sleep(pause)
+        sock.shutdown(socket.SHUT_WR)
+        replies = b""
+        while data := sock.recv(65536):
+            replies += data
+    return replies.decode("utf-8").splitlines()
+
+
+def run_server(chunks, strict_order=True, pause=0.0):
+    got = []
+    server = StreamServer(got.append, port=0, strict_order=strict_order)
+    server.start()
+    try:
+        replies = send_and_close(server.address, chunks, pause)
+    finally:
+        stats = server.stop()
+    return got, stats, replies
+
+
+def event_line(case, activity, ts):
+    return (event_to_json_line(Event(case, activity, ts)) + "\n").encode("utf-8")
+
+
+def test_server_one_send_matches_line_by_line():
+    lines = [
+        event_line("c", "A", 100),
+        b"garbage\n",
+        event_line("c", "B", 50),
+        event_line("c", "C", 200),
+        event_line("c", "D", 150),
+        b'{"case": "c"}\n',
+        event_line("c", "E", 200),
+        event_line("c", "F", 300),
+        b"not json\n",
+    ]
+    at_once = run_server([b"".join(lines)])
+    one_by_one = run_server(lines, pause=0.01)
+    assert at_once == one_by_one
+    got, stats, replies = at_once
+    assert [ev.activity for ev in got] == ["A", "C", "E", "F"]
+    assert stats == ServerStats(received=6, delivered=4, dropped=2, parse_errors=3)
+    assert [r.split(":")[0] for r in replies] == [
+        "ERR bad_json",
+        "ERR out_of_order",
+        "ERR out_of_order",
+        "ERR missing_field",
+        "ERR bad_json",
+    ]
+
+
+def test_server_joins_split_lines_and_takes_an_unterminated_last_line():
+    first = event_line("c", "A", 1)
+    second = '{"case": "c", "activity": "café", "timestamp": 2}\n'.encode("utf-8")
+    last = event_line("c", "C", 3).rstrip(b"\n")
+    cut = second.index("é".encode()) + 1  # inside the two bytes of é
+    got, stats, replies = run_server(
+        [first + second[:cut], second[cut:] + last], pause=0.05
+    )
+    assert got == [Event("c", "A", 1), Event("c", "café", 2), Event("c", "C", 3)]
+    assert stats == ServerStats(received=3, delivered=3, dropped=0, parse_errors=0)
+    assert replies == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    clients=st.lists(
+        st.lists(st.integers(0, 40), max_size=25), min_size=2, max_size=4
+    ),
+    strict_order=st.booleans(),
+    chunk_size=st.integers(1, 300),
+)
+def test_server_concurrent_clients_lose_nothing(clients, strict_order, chunk_size):
+    got = []
+    server = StreamServer(got.append, port=0, strict_order=strict_order)
+    server.start()
+    replies = {}
+
+    def client(k, stamps):
+        lines = [event_line(f"k{k}", f"a{i}", ts) for i, ts in enumerate(stamps)]
+        lines.insert(len(lines) // 2, b"garbage\n")
+        data = b"".join(lines)
+        chunks = [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
+        replies[k] = send_and_close(server.address, chunks)
+
+    threads = [
+        threading.Thread(target=client, args=(k, stamps))
+        for k, stamps in enumerate(clients)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave handler threads finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+    finally:
+        sys.setswitchinterval(switch)
+        stats = server.stop()
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(replies) == list(range(len(clients)))
+    assert stats.received == sum(len(stamps) for stamps in clients)
+    assert stats.received == stats.delivered + stats.dropped
+    assert len(got) == stats.delivered
+    assert stats.parse_errors == len(clients)
+    stamps = [ev.timestamp for ev in got]
+    assert stamps == sorted(stamps)
+    for k in range(len(clients)):
+        order = [int(ev.activity[1:]) for ev in got if ev.case_id == f"k{k}"]
+        assert order == sorted(order)
+    out_of_order = sum(r.startswith("ERR out_of_order") for rs in replies.values() for r in rs)
+    assert out_of_order == (stats.dropped if strict_order else 0)
+
+
+def test_events_enqueued_after_stop_are_counted_as_dropped():
+    got = []
+    server = StreamServer(got.append, port=0)
+    server.start()
+    assert server._enqueue_many([Event("c", "A", 1)]) == 0
+    server.stop()
+    # a handler thread can still hand over a batch after stop()
+    assert server._enqueue_many([Event("c", "B", 2), Event("c", "C", 3)]) == 0
+    stats = server.stats
+    assert got == [Event("c", "A", 1)]
+    assert stats.received == stats.delivered + stats.dropped
+    assert (stats.received, stats.delivered, stats.dropped) == (3, 1, 2)

@@ -1,18 +1,17 @@
 """Fixed-rule windowing strategies used for comparison.
 
-Same per-event interface and record type as the adaptive window, so a
-pipeline can swap strategies freely.  Species statistics are tracked the
-same way; the records simply carry ``threshold=0.0`` because no coverage
-threshold is involved.
+They are close rules on the same ``Windower`` core as the adaptive
+window, so a pipeline can swap strategies freely.  Species statistics
+are tracked the same way; the records simply carry ``threshold=0.0``
+because no coverage threshold is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abundance import AbundanceStats
 from .views import Event, SpeciesView
-from .window import WindowRecord, build_record
+from .window import Windower
 
 COUNT_TUMBLING = "count_tumbling"
 TIME_TUMBLING = "time_tumbling"
@@ -38,7 +37,7 @@ class BaselineConfig:
             raise ValueError("landmark_activity must be non-empty")
 
 
-class BaselineWindow:
+class BaselineWindow(Windower):
     """Count, time or landmark tumbling windows.
 
     Boundary semantics: a count window closes with its count-th event
@@ -49,49 +48,15 @@ class BaselineWindow:
     """
 
     def __init__(self, view: SpeciesView, config: BaselineConfig) -> None:
-        self.view = view
+        super().__init__(view)
         self.config = config
-        self.windows_closed = 0
-        self._buffer: list[Event] = []
-        self._stats = AbundanceStats()
 
-    @property
-    def buffer_size(self) -> int:
-        return len(self._buffer)
-
-    def process_event(self, event: Event) -> WindowRecord | None:
-        closed: WindowRecord | None = None
+    def _starts_window(self, event: Event) -> bool:
         cfg = self.config
-        if self._buffer:
-            if (
-                cfg.kind == TIME_TUMBLING
-                and event.timestamp - self._buffer[0].timestamp >= cfg.duration
-            ):
-                closed = self._close(force=False)
-            elif cfg.kind == LANDMARK and event.activity == cfg.landmark_activity:
-                closed = self._close(force=False)
-        self._buffer.append(event)
-        for species in self.view.extract(event):
-            self._stats.observe(species)
-        for species in self.view.flush_cases(event.timestamp):
-            self._stats.observe(species)
-        if cfg.kind == COUNT_TUMBLING and len(self._buffer) >= cfg.count:
-            closed = self._close(force=False)
-        return closed
+        if cfg.kind == TIME_TUMBLING:
+            return event.timestamp - self._buffer[0].timestamp >= cfg.duration
+        return cfg.kind == LANDMARK and event.activity == cfg.landmark_activity
 
-    def flush(self, now: int | None = None) -> WindowRecord | None:
-        """Emit the partial window at end of stream, if any."""
-        for species in self.view.flush_cases(now):
-            self._stats.observe(species)
-        if not self._buffer:
-            return None
-        return self._close(force=True)
-
-    def _close(self, force: bool) -> WindowRecord:
-        record = build_record(
-            self.windows_closed, self._buffer, self._stats, 0.0, force_closed=force
-        )
-        self.windows_closed += 1
-        self._buffer = []
-        self._stats.reset()
-        return record
+    def _is_complete(self) -> bool:
+        cfg = self.config
+        return cfg.kind == COUNT_TUMBLING and len(self._buffer) >= cfg.count

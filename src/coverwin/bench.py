@@ -11,23 +11,17 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .driftgen import VariantPool, case_number
 from .views import Event, SpeciesView, ViewConfig
-from .window import AdaptiveWindow, ThresholdState, WindowRecord
+from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
 from .stream_io import SourceConfig, replay
 
 
-class Strategy(Protocol):
-    def process_event(self, event: Event) -> WindowRecord | None: ...
-
-    def flush(self, now: int | None = None) -> WindowRecord | None: ...
-
-
-def run_stream(events: Iterable[Event], strategy: Strategy) -> list[WindowRecord]:
+def run_stream(events: Iterable[Event], strategy: Windower) -> list[WindowRecord]:
     """Feed every event, then flush; returns all closed windows."""
     records = [r for e in events if (r := strategy.process_event(e)) is not None]
     final = strategy.flush(None)
@@ -236,7 +230,7 @@ def accuracy_by_strategy(
     events: Sequence[Event],
     pool_per_case: Sequence[int],
     pools: Sequence[VariantPool],
-    factories: dict[str, Callable[[], Strategy]],
+    factories: dict[str, Callable[[], Windower]],
 ) -> list[StrategySummary]:
     """Run each strategy over the same events and score it."""
     return [
@@ -344,7 +338,7 @@ class ThroughputReport:
 
 def measure_throughput(
     source: SourceConfig,
-    strategy_factory: Callable[[], Strategy],
+    strategy_factory: Callable[[], Windower],
     runs: int = 5,
 ) -> ThroughputReport:
     """Replay the whole file ``runs`` times, each with a fresh pipeline."""

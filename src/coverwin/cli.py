@@ -12,6 +12,7 @@ over config file over built-in default.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import signal
@@ -19,7 +20,7 @@ import sys
 import threading
 from dataclasses import replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from . import driftgen
 from .abundance import AbundanceStats, estimates
@@ -44,12 +45,7 @@ from .stream_io import (
     write_metrics_csv,
 )
 from .views import VIEW_KINDS, SpeciesView, ViewConfig
-from .window import AdaptiveWindow, ThresholdState, WindowRecord
-
-# bench imports numpy, which costs every other command start-up time and
-# memory; the bench commands import it when they run
-if TYPE_CHECKING:
-    from .bench import Strategy
+from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
 
 SIZES_HEADER = ("index", "size", "first_ts", "last_ts", "coverage", "threshold")
 
@@ -215,7 +211,7 @@ def _make_view(args: argparse.Namespace) -> SpeciesView:
     )
 
 
-def _make_strategy(args: argparse.Namespace) -> Strategy:
+def _make_strategy(args: argparse.Namespace) -> Windower:
     view = _make_view(args)
     if args.strategy == "adaptive":
         threshold = ThresholdState(
@@ -236,29 +232,48 @@ def _make_strategy(args: argparse.Namespace) -> Strategy:
     return BaselineWindow(view, config)
 
 
-def _sizes_rows(records: Sequence[WindowRecord]) -> list[tuple]:
-    return [
-        (r.index, r.size, r.first_ts, r.last_ts, _fmt(r.coverage), _fmt(r.threshold))
-        for r in records
-    ]
+def _sizes_row(r: WindowRecord) -> tuple:
+    return (r.index, r.size, r.first_ts, r.last_ts, _fmt(r.coverage), _fmt(r.threshold))
 
 
 class _RecordWriter:
-    """Streams closed windows to the configured outputs as they happen."""
+    """Streams closed windows to the configured outputs as they happen.
+
+    Keeps running aggregates for the run summary instead of the records,
+    so memory does not grow with the stream.
+    """
 
     def __init__(self, args: argparse.Namespace, verbose: bool) -> None:
-        self.records: list[WindowRecord] = []
         self.verbose = verbose
+        self.windows = 0
+        self._size_sum = 0
+        self._size_min = float("inf")
+        self._size_max = 0
+        # 0 + c0 + c1 + ..., the order and start value of sum()
+        self._coverage_sum = 0
+        self._forced = 0
         self._windows_fp = (
             open(args.windows_out, "w", encoding="utf-8") if args.windows_out else None
         )
-        self._sizes_csv = args.sizes_csv
+        self._sizes_fp = None
+        if args.sizes_csv:
+            self._sizes_fp = open(args.sizes_csv, "w", encoding="utf-8", newline="")
+            self._sizes = csv.writer(self._sizes_fp)
+            self._sizes.writerow(SIZES_HEADER)
 
     def emit(self, record: WindowRecord) -> None:
-        self.records.append(record)
+        size = record.size
+        self.windows += 1
+        self._size_sum += size
+        self._size_min = min(self._size_min, size)
+        self._size_max = max(self._size_max, size)
+        self._coverage_sum += record.coverage
+        self._forced += record.force_closed
         if self._windows_fp is not None:
             self._windows_fp.write(window_record_to_json(record) + "\n")
             self._windows_fp.flush()
+        if self._sizes_fp is not None:
+            self._sizes.writerow(_sizes_row(record))
         if self.verbose:
             summary = {
                 "index": record.index,
@@ -272,29 +287,26 @@ class _RecordWriter:
     def close(self) -> None:
         if self._windows_fp is not None:
             self._windows_fp.close()
-        if self._sizes_csv:
-            write_metrics_csv(self._sizes_csv, SIZES_HEADER, _sizes_rows(self.records))
+        if self._sizes_fp is not None:
+            self._sizes_fp.close()
 
-
-def _print_run_summary(records: list[WindowRecord], delivered: int, dropped: int) -> None:
-    if records:
-        sizes = [r.size for r in records]
-        mean_size = sum(sizes) / len(sizes)
-        mean_cov = sum(r.coverage for r in records) / len(records)
-        forced = sum(1 for r in records if r.force_closed)
-        print(
-            f"events={delivered} dropped={dropped} windows={len(records)} "
-            f"mean_size={_fmt(mean_size)} min_size={min(sizes)} "
-            f"max_size={max(sizes)} mean_coverage={_fmt(mean_cov)} forced={forced}"
-        )
-    else:
-        print(f"events={delivered} dropped={dropped} windows=0")
+    def print_summary(self, delivered: int, dropped: int) -> None:
+        n = self.windows
+        if n:
+            print(
+                f"events={delivered} dropped={dropped} windows={n} "
+                f"mean_size={_fmt(self._size_sum / n)} min_size={self._size_min} "
+                f"max_size={self._size_max} "
+                f"mean_coverage={_fmt(self._coverage_sum / n)} forced={self._forced}"
+            )
+        else:
+            print(f"events={delivered} dropped={dropped} windows=0")
 
 
 # --- subcommands ------------------------------------------------------------
 
 
-def _run_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> int:
     source = _make_source(args)
     view = _make_view(args)
     stats = AbundanceStats()
@@ -318,13 +330,7 @@ def _run_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    return _run_estimate(args)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.estimate_only:
-        return _run_estimate(args)
     source = _make_source(args)
     strategy = _make_strategy(args)
     writer = _RecordWriter(args, verbose=args.verbose)
@@ -341,7 +347,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             writer.emit(final)
     finally:
         writer.close()
-    _print_run_summary(writer.records, replay_stats.delivered, replay_stats.dropped)
+    writer.print_summary(replay_stats.delivered, replay_stats.dropped)
     return 0
 
 
@@ -378,6 +384,8 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_latency(args: argparse.Namespace) -> int:
+    # bench imports numpy, which would cost every other command start-up
+    # time and memory; the bench commands import it when they run
     from . import bench
 
     rows = bench.measure_latency(args.sizes, trials=args.trials)
@@ -452,7 +460,7 @@ def cmd_bench_drift(args: argparse.Namespace) -> int:
         write_metrics_csv(
             _outpath(args.outdir, "window_sizes.csv"),
             SIZES_HEADER,
-            _sizes_rows(records),
+            [_sizes_row(r) for r in records],
         )
         write_metrics_csv(
             _outpath(args.outdir, "drift_report.csv"),
@@ -488,7 +496,7 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
         spec = replace(spec, seed=args.seed)
     events, annotations = driftgen.generate(spec)
 
-    factories: dict[str, Callable[[], Strategy]] = {
+    factories: dict[str, Callable[[], Windower]] = {
         name: partial(
             _make_strategy, argparse.Namespace(**{**vars(args), "strategy": name})
         )
@@ -557,7 +565,7 @@ def cmd_listen(
         if final is not None:
             writer.emit(final)
         writer.close()
-    _print_run_summary(writer.records, stats.delivered, stats.dropped)
+    writer.print_summary(stats.delivered, stats.dropped)
     return 0
 
 
@@ -586,11 +594,6 @@ def build_parsers() -> tuple[
     _add_view_flags(p)
     _add_strategy_flags(p)
     _add_output_flags(p)
-    p.add_argument(
-        "--estimate-only",
-        action="store_true",
-        help="skip windowing; print whole-file abundance estimates",
-    )
     p.set_defaults(func=cmd_analyze)
     table[("analyze",)] = p
 
@@ -783,49 +786,22 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> No
     parser.set_defaults(**overrides)
 
 
-def _prescan(argv: Sequence[str]) -> tuple[tuple[str, ...], str | None]:
-    """Find the subcommand path and any --config value without parsing.
-
-    Scans the whole argv: --config may come after positionals.  Flag
-    values can slip into the path (they are not distinguishable without
-    parsing), which is why lookups fall back from two path tokens to one.
-    """
-    path: list[str] = []
-    config: str | None = None
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 < len(argv):
-                config = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
-            config = token.split("=", 1)[1]
-            i += 1
-            continue
-        if not token.startswith("-") and len(path) < 2:
-            path.append(token)
-        i += 1
-    return tuple(path), config
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, table = build_parsers()
-    path, config_path = _prescan(argv)
-    if config_path is not None:
-        target = table.get(path[:2]) or table.get(path[:1])
-        if target is None:
-            print("coverwin: --config given without a known command", file=sys.stderr)
-            return 2
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # the file supplies defaults, so the flags on argv win on the second parse
+        command = (args.command,)
+        if args.command == "bench":
+            command += (args.bench_mode,)
         try:
-            _apply_config(target, load_config_file(config_path))
+            _apply_config(table[command], load_config_file(args.config))
         except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"coverwin: config error: {exc}", file=sys.stderr)
             return 2
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OrderingError) as exc:

@@ -355,9 +355,17 @@ class StreamServer:
         self._consume_thread.start()
         self._started = True
 
-    def stop(self, timeout: float = 5.0) -> ServerStats:
-        """Stop accepting, drain the queue, and return final counters."""
-        self._server.shutdown()
+    def stop(self) -> ServerStats:
+        """Stop accepting, drain the queue, and return final counters.
+
+        Returns only after the consumer has delivered every queued event,
+        so the caller may touch the pipeline's state afterwards.
+        """
+        # shutdown() waits for serve_forever to end, which never began
+        # unless start() ran
+        if self._started:
+            self._server.shutdown()
+            self._serve_thread.join()
         self._server.server_close()
         # handler threads outlive server_close; whatever they enqueue from
         # here on is dropped, never left behind _STOP
@@ -365,7 +373,7 @@ class StreamServer:
             self._closed = True
             self._queue.put(_STOP)
         if self._started:
-            self._consume_thread.join(timeout)
+            self._consume_thread.join()
         return self.stats
 
     def _note_parse_error(self) -> None:

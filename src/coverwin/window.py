@@ -1,11 +1,13 @@
-"""Coverage-driven adaptive windowing.
+"""Stream windowing: one windowing core and the coverage-driven close rule.
 
-Events accumulate in a buffer while species statistics and a per-event
-coverage history grow alongside.  After every event the closing
-threshold is re-derived from the shape of the coverage curve, and the
-window closes once coverage reaches the threshold (subject to a minimum
-size).  Threshold state survives window boundaries; buffer, statistics
-and history do not.
+``Windower`` buffers events, counts their species and emits window
+records; a subclass decides only where a window ends.  ``AdaptiveWindow``
+is the paper's rule: after every event the closing threshold is
+re-derived from the shape of the coverage curve, and the window closes
+once coverage reaches the threshold (subject to a minimum size).
+Threshold state survives window boundaries; buffer, statistics and
+history do not.  The fixed count/time/landmark rules live in
+``baselines``.
 """
 
 from __future__ import annotations
@@ -136,36 +138,98 @@ class WindowRecord:
     force_closed: bool = False
 
 
-def build_record(
-    index: int,
-    events: Sequence[Event],
-    stats: AbundanceStats,
-    threshold: float,
-    force_closed: bool = False,
-) -> WindowRecord:
-    est = stats.estimates()
-    return WindowRecord(
-        index=index,
-        events=tuple(events),
-        size=len(events),
-        first_ts=events[0].timestamp,
-        last_ts=events[-1].timestamp,
-        coverage=est.coverage,
-        completeness=est.completeness,
-        chao1=est.chao1,
-        threshold=threshold,
-        force_closed=force_closed,
-    )
+class Windower:
+    """Buffers events, counts their species and emits window records.
+
+    ``process_event`` returns the window record this event closed, else
+    None; ``flush`` forces out the open window.  Subclasses decide only
+    where a window ends, through two hooks:
+
+    - ``_starts_window(event)`` is asked before an event joins a
+      non-empty buffer; True closes the running window first, and the
+      event opens the next one;
+    - ``_is_complete()`` is asked after the event's species are counted;
+      True closes the window with the event inside.
+
+    Each record carries ``_threshold`` as its closing threshold: 0.0
+    unless a subclass keeps a coverage threshold there.
+    """
+
+    def __init__(self, view: SpeciesView) -> None:
+        self.view = view
+        self.windows_closed = 0
+        self._threshold = 0.0
+        self._buffer: list[Event] = []
+        self._stats = AbundanceStats()
+
+    @property
+    def buffer_size(self) -> int:
+        return len(self._buffer)
+
+    def _starts_window(self, event: Event) -> bool:
+        return False
+
+    def _is_complete(self) -> bool:
+        return False
+
+    def process_event(self, event: Event) -> WindowRecord | None:
+        closed = None
+        if self._buffer and self._starts_window(event):
+            closed = self._close(force=False)
+        self._buffer.append(event)
+        stats = self._stats
+        for species in self.view.extract(event):
+            stats.observe(species)
+        # completed-case species (trace variants) belong to the window
+        # that is open when the completion is detected
+        for species in self.view.flush_cases(event.timestamp):
+            stats.observe(species)
+        if self._is_complete():
+            closed = self._close(force=False)
+        return closed
+
+    def flush(self, now: int | None = None) -> WindowRecord | None:
+        """Force out the open window, completing idle cases first.
+
+        ``now=None`` treats the stream as ended and completes every case.
+        Returns None when no events are buffered.
+        """
+        for species in self.view.flush_cases(now):
+            self._stats.observe(species)
+        if not self._buffer:
+            return None
+        return self._close(force=True)
+
+    def _close(self, force: bool) -> WindowRecord:
+        events = self._buffer
+        est = self._stats.estimates()
+        record = WindowRecord(
+            index=self.windows_closed,
+            events=tuple(events),
+            size=len(events),
+            first_ts=events[0].timestamp,
+            last_ts=events[-1].timestamp,
+            coverage=est.coverage,
+            completeness=est.completeness,
+            chao1=est.chao1,
+            threshold=self._threshold,
+            force_closed=force,
+        )
+        self.windows_closed += 1
+        self._buffer = []
+        self._stats.reset()
+        return record
 
 
-class AdaptiveWindow:
-    """Accumulates events until the window looks representative.
+class AdaptiveWindow(Windower):
+    """Closes a window once its coverage reaches the adaptive threshold.
 
-    ``process_event`` returns the closed window record when this event
-    completed one, else None.  The threshold parameters are read from the
-    given ``ThresholdState`` once; only ``ct`` and ``sf`` move per event.
-    Both pieces of curve evidence are kept in O(1) per event and give the
-    same result as ``update_threshold`` on the full history:
+    A window is complete when coverage is at least ``ct`` and it holds at
+    least ``min_window_size`` events.  The threshold parameters are read
+    from the given ``ThresholdState`` once; only ``ct`` and ``sf`` move
+    per event, and they survive window boundaries.  Both pieces of curve
+    evidence are kept in O(1) per event and give the same result as
+    ``update_threshold`` on the full history:
 
     - the elbow is a running argmax over the curvature values: curvature
       points are append-only and ties go to the earliest index either
@@ -185,19 +249,16 @@ class AdaptiveWindow:
     ) -> None:
         if min_window_size < 1:
             raise ValueError("min_window_size must be at least 1")
+        super().__init__(view)
         params = threshold if threshold is not None else ThresholdState()
-        self.view = view
         self.min_window_size = min_window_size
-        self.windows_closed = 0
         self._params = params
-        self._ct = params.ct
+        self._threshold = params.ct
         self._sf = params.sf
         self._dr = params.dr
         self._mt = params.mt
         self._delta = params.delta
         self._stagnant_run = params.w - 1
-        self._buffer: list[Event] = []
-        self._stats = AbundanceStats()
         self._history: list[float] = []
         self._flat_run = 0
         self._best_r2 = -math.inf
@@ -206,7 +267,7 @@ class AdaptiveWindow:
     @property
     def threshold(self) -> ThresholdState:
         """Snapshot of the current threshold state."""
-        return replace(self._params, ct=self._ct, sf=self._sf)
+        return replace(self._params, ct=self._threshold, sf=self._sf)
 
     @property
     def coverage_history(self) -> tuple[float, ...]:
@@ -214,23 +275,11 @@ class AdaptiveWindow:
         return tuple(self._history)
 
     @property
-    def buffer_size(self) -> int:
-        return len(self._buffer)
-
-    @property
     def stats(self) -> AbundanceStats:
         return self._stats
 
-    def process_event(self, event: Event) -> WindowRecord | None:
-        self._buffer.append(event)
-        stats = self._stats
-        for species in self.view.extract(event):
-            stats.observe(species)
-        # completed-case species (trace variants) belong to the window
-        # that is open when the completion is detected
-        for species in self.view.flush_cases(event.timestamp):
-            stats.observe(species)
-        cov = coverage_of(stats)
+    def _is_complete(self) -> bool:
+        cov = coverage_of(self._stats)
         h = self._history
         h.append(cov)
         n = len(h)
@@ -245,41 +294,18 @@ class AdaptiveWindow:
                 if r2 > self._best_r2:
                     self._best_r2 = r2
                     self._c_optimal = cov
-                self._ct, self._sf = _next_threshold(
-                    self._ct,
+                self._threshold, self._sf = _next_threshold(
+                    self._threshold,
                     self._sf,
                     self._dr,
                     self._mt,
                     self._c_optimal,
                     self._flat_run >= self._stagnant_run,
                 )
-        if cov >= self._ct and len(self._buffer) >= self.min_window_size:
-            return self._close(force=False)
-        return None
-
-    def flush(self, now: int | None = None) -> WindowRecord | None:
-        """Force out the open window, completing idle cases first.
-
-        ``now=None`` treats the stream as ended and completes every case.
-        Returns None when no events are buffered.
-        """
-        for species in self.view.flush_cases(now):
-            self._stats.observe(species)
-        if not self._buffer:
-            return None
-        return self._close(force=True)
+        return cov >= self._threshold and len(self._buffer) >= self.min_window_size
 
     def _close(self, force: bool) -> WindowRecord:
-        record = build_record(
-            self.windows_closed,
-            self._buffer,
-            self._stats,
-            self._ct,
-            force_closed=force,
-        )
-        self.windows_closed += 1
-        self._buffer = []
-        self._stats.reset()
+        record = super()._close(force)
         self._history = []
         self._flat_run = 0
         self._best_r2 = -math.inf

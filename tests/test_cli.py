@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
+import gc
 import os
 import shutil
 import socket
@@ -10,18 +12,20 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
 import coverwin
-from coverwin.cli import build_parsers, cmd_listen, load_config_file, main
+from coverwin.cli import _RecordWriter, build_parsers, cmd_listen, load_config_file, main
 from coverwin.stream_io import (
     event_to_json_line,
     parse_window_record,
     write_events_jsonl,
 )
+from coverwin.window import WindowRecord
 
 from conftest import DATA_DIR, make_events
 
@@ -55,11 +59,6 @@ def test_estimate_directly_follows_view(capsys):
     out = capsys.readouterr().out
     assert "n=8 species=7 f1=6 f2=1" in out
     assert "chao1=25 " in out
-
-
-def test_analyze_estimate_only_matches_estimate(capsys):
-    assert main(["analyze", WORKED, "--estimate-only"]) == 0
-    assert "n=9 species=5" in capsys.readouterr().out
 
 
 def test_analyze_writes_windows_and_sizes(tmp_path, capsys):
@@ -98,6 +97,26 @@ def test_analyze_verbose_prints_window_lines(tmp_path, capsys):
     err = capsys.readouterr().err
     assert '"index": 0' in err
     assert '"size": 5' in err
+
+
+def test_record_writer_keeps_no_record(tmp_path, capsys):
+    sizes_path = str(tmp_path / "sizes.csv")
+    args = argparse.Namespace(windows_out=None, sizes_csv=sizes_path)
+    writer = _RecordWriter(args, verbose=False)
+    events = tuple(make_events("AB"))
+    record = WindowRecord(0, events, 2, 0, 1000, 0.5, 0.5, 2.0, 0.9)
+    ref = weakref.ref(record)
+    writer.emit(record)
+    del record
+    gc.collect()
+    assert ref() is None
+    writer.close()
+    writer.print_summary(2, 0)
+    assert "windows=1 mean_size=2 min_size=2 max_size=2" in capsys.readouterr().out
+    header = ["index", "size", "first_ts", "last_ts", "coverage", "threshold"]
+    assert read_csv(sizes_path) == [header, ["0", "2", "0", "1000", "0.5", "0.9"]]
+    _RecordWriter(args, verbose=False).close()
+    assert read_csv(sizes_path) == [header]
 
 
 def test_analyze_count_strategy(tmp_path, capsys):

@@ -623,3 +623,11 @@ def test_events_enqueued_after_stop_are_counted_as_dropped():
     assert got == [Event("c", "A", 1)]
     assert stats.received == stats.delivered + stats.dropped
     assert (stats.received, stats.delivered, stats.dropped) == (3, 1, 2)
+
+
+def test_stop_without_start_returns():
+    server = StreamServer(lambda e: None, port=0)
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(5.0)
+    assert not stopper.is_alive()

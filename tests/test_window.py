@@ -15,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from coverwin import (
     AdaptiveWindow,
+    BaselineConfig,
+    BaselineWindow,
     Event,
     SpeciesView,
     ThresholdState,
     ViewConfig,
     update_threshold,
 )
+from coverwin.baselines import COUNT_TUMBLING, LANDMARK, TIME_TUMBLING
 from coverwin.views import ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT
 from coverwin.window import CT_CEILING, SF_CEILING, SF_FLOOR
 
@@ -245,17 +248,34 @@ def test_record_fields_describe_buffer():
     assert rec.last_ts == events[-1].timestamp
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_random_streams_partition_losslessly(seed):
+STRATEGIES = {
+    "adaptive": lambda view: AdaptiveWindow(view),
+    COUNT_TUMBLING: lambda view: BaselineWindow(view, BaselineConfig(COUNT_TUMBLING)),
+    TIME_TUMBLING: lambda view: BaselineWindow(
+        view, BaselineConfig(TIME_TUMBLING, duration=500)
+    ),
+    LANDMARK: lambda view: BaselineWindow(
+        view, BaselineConfig(LANDMARK, landmark_activity="a0")
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(sorted(STRATEGIES)),
+    st.sampled_from([ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT]),
+)
+def test_random_streams_partition_losslessly(seed, strategy, kind):
     events = random_events(seed=seed, count=200, alphabet=6, cases=4)
-    win = AdaptiveWindow(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
-    seen = []
-    for ev in events:
-        rec = win.process_event(ev)
-        if rec is not None:
-            seen.extend(rec.events)
+    win = STRATEGIES[strategy](SpeciesView(ViewConfig(kind, case_timeout=500)))
+    records = [r for ev in events if (r := win.process_event(ev)) is not None]
+    assert not any(r.force_closed for r in records)
     final = win.flush()
     if final is not None:
-        seen.extend(final.events)
-    assert seen == events
+        assert final.force_closed
+        records.append(final)
+    assert [ev for r in records for ev in r.events] == events
+    assert [r.index for r in records] == list(range(len(records)))
+    if strategy != "adaptive":
+        assert all(r.threshold == 0.0 for r in records)

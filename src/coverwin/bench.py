@@ -11,9 +11,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from math import fsum
+from statistics import fmean, linear_regression, median, pstdev, quantiles, stdev
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .driftgen import VariantPool, case_number
 from .views import Event, SpeciesView, ViewConfig
@@ -104,18 +104,18 @@ def drift_adaptation_stats(
             f"need {before} windows before and {after} from window "
             f"{drift_window}, have {len(sizes)} total"
         )
-    span = np.asarray(sizes[drift_window - before : drift_window + after], dtype=float)
-    rel = np.abs(np.diff(span)) / span[:-1]
+    span = sizes[drift_window - before : drift_window + after]
+    rel = [abs(b - a) / a for a, b in zip(span, span[1:])]
     after_span = span[before:]
     half = after // 2
     return DriftAdaptationReport(
         drift_window=drift_window,
-        mean_relative_change=float(np.mean(rel)),
-        std_relative_change=float(np.std(rel)),
-        coefficient_of_variation=float(np.std(span) / np.mean(span)),
-        pre_mean=float(np.mean(span[:before])),
-        during_mean=float(np.mean(after_span[:half])),
-        post_mean=float(np.mean(after_span[half:])),
+        mean_relative_change=fmean(rel),
+        std_relative_change=pstdev(rel),
+        coefficient_of_variation=pstdev(span) / fmean(span),
+        pre_mean=fmean(span[:before]),
+        during_mean=fmean(after_span[:half]),
+        post_mean=fmean(after_span[half:]),
     )
 
 
@@ -125,12 +125,7 @@ def segment_means(
     """Mean window size before ``start``, in [start, end), and from ``end``."""
     if not 0 < start < end < len(sizes):
         raise ValueError("need non-empty pre, during and post segments")
-    arr = np.asarray(sizes, dtype=float)
-    return (
-        float(np.mean(arr[:start])),
-        float(np.mean(arr[start:end])),
-        float(np.mean(arr[end:])),
-    )
+    return fmean(sizes[:start]), fmean(sizes[start:end]), fmean(sizes[end:])
 
 
 # --- directly-follows accuracy proxy ---------------------------------------
@@ -186,7 +181,7 @@ def dfg_accuracy(
 
 @dataclass(frozen=True)
 class StrategySummary:
-    name: str
+    strategy: str
     windows: int
     mean_precision: float
     mean_recall: float
@@ -218,11 +213,11 @@ def summarize_accuracy(
     if not scores:
         raise ValueError("no windows to score")
     return StrategySummary(
-        name=name,
+        strategy=name,
         windows=len(scores),
-        mean_precision=float(np.mean([s.precision for s in scores])),
-        mean_recall=float(np.mean([s.recall for s in scores])),
-        mean_f1=float(np.mean([s.f1 for s in scores])),
+        mean_precision=fmean(s.precision for s in scores),
+        mean_recall=fmean(s.recall for s in scores),
+        mean_f1=fmean(s.f1 for s in scores),
     )
 
 
@@ -248,6 +243,15 @@ class LatencyRow:
     median_seconds: float
     p95_seconds: float
     min_seconds: float
+
+    @classmethod
+    def from_samples(cls, window_size: int, times: Sequence[float]) -> LatencyRow:
+        """Median, inclusive 95th percentile and minimum of the timings."""
+        # quantiles() needs two points; one sample is its own percentile
+        p95 = times[0]
+        if len(times) > 1:
+            p95 = quantiles(times, n=20, method="inclusive")[18]
+        return cls(window_size, median(times), p95, min(times))
 
 
 def _synthetic_events(count: int, alphabet_size: int, cases: int = 5) -> list[Event]:
@@ -287,34 +291,27 @@ def measure_latency(
     instead of on all trials of one; ``min_seconds``, the fastest trial,
     is the estimate least disturbed by such spells.
     """
+    if trials < 1 or not sizes:
+        raise ValueError("need at least one trial and one window size")
     streams = [_synthetic_events(n, alphabet_size) for n in sizes]
     samples: list[list[float]] = [[] for _ in sizes]
     for _ in range(trials):
         for events, out in zip(streams, samples):
             out.append(_time_one_window(events))
-    return [
-        LatencyRow(
-            window_size=n,
-            median_seconds=float(np.median(times)),
-            p95_seconds=float(np.percentile(times, 95)),
-            min_seconds=min(times),
-        )
-        for n, times in zip(sizes, samples)
-    ]
+    return [LatencyRow.from_samples(n, times) for n, times in zip(sizes, samples)]
 
 
 def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
     """R^2 of the least-squares line through (xs, ys)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = y - (slope * x + intercept)
-    total = y - np.mean(y)
-    ss_tot = float(np.dot(total, total))
-    ss_res = float(np.dot(residual, residual))
+    if len(set(xs)) < 2:
+        raise ValueError("a line fit needs at least two distinct x values")
+    slope, intercept = linear_regression(xs, ys)
+    mean_y = fmean(ys)
+    ss_tot = fsum((y - mean_y) ** 2 for y in ys)
+    ss_res = fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     if ss_tot == 0.0:
-        # flat target: the fit is perfect up to float noise in polyfit
-        return 1.0 if ss_res <= 1e-12 * max(1.0, float(np.dot(y, y))) else 0.0
+        # flat target: the fit is perfect up to float noise in the regression
+        return 1.0 if ss_res <= 1e-12 * max(1.0, fsum(y * y for y in ys)) else 0.0
     return 1.0 - ss_res / ss_tot
 
 
@@ -327,13 +324,11 @@ class ThroughputReport:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.runs))
+        return fmean(self.runs)
 
     @property
     def std(self) -> float:
-        if len(self.runs) < 2:
-            return 0.0
-        return float(np.std(self.runs, ddof=1))
+        return stdev(self.runs) if len(self.runs) > 1 else 0.0
 
 
 def measure_throughput(

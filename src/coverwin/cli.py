@@ -18,9 +18,9 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import driftgen
 from .abundance import AbundanceStats, estimates
@@ -54,9 +54,25 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
+def _cells(values: Iterable[object]) -> list[object]:
+    """Report values as printed: floats as ``.6g``, the rest unchanged."""
+    return [_fmt(v) if isinstance(v, float) else v for v in values]
+
+
+def _line(**pairs: object) -> str:
+    """One ``key=value`` report line."""
+    return " ".join(f"{k}={v}" for k, v in zip(pairs, _cells(pairs.values())))
+
+
 def _outpath(outdir: str, name: str) -> str:
     os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
+
+
+def _write_table(outdir: str, name: str, rows: Sequence) -> None:
+    """CSV of dataclass rows; the header is the row fields."""
+    header = [f.name for f in fields(rows[0])]
+    write_metrics_csv(_outpath(outdir, name), header, [_cells(astuple(r)) for r in rows])
 
 
 def _speed(text: str) -> float | None:
@@ -84,6 +100,7 @@ def _int_list(text: str) -> list[int]:
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--config",
+        action=_ConfigFile,
         default=None,
         metavar="FILE",
         help="key = value file supplying defaults for this command's flags",
@@ -292,15 +309,16 @@ class _RecordWriter:
 
     def print_summary(self, delivered: int, dropped: int) -> None:
         n = self.windows
+        line = _line(events=delivered, dropped=dropped, windows=n)
         if n:
-            print(
-                f"events={delivered} dropped={dropped} windows={n} "
-                f"mean_size={_fmt(self._size_sum / n)} min_size={self._size_min} "
-                f"max_size={self._size_max} "
-                f"mean_coverage={_fmt(self._coverage_sum / n)} forced={self._forced}"
+            line += " " + _line(
+                mean_size=self._size_sum / n,
+                min_size=self._size_min,
+                max_size=self._size_max,
+                mean_coverage=self._coverage_sum / n,
+                forced=self._forced,
             )
-        else:
-            print(f"events={delivered} dropped={dropped} windows=0")
+        print(line)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -383,37 +401,29 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _generate_scenario(args: argparse.Namespace) -> tuple:
+    """Spec, events and annotations of ``--scenario``, reseeded by ``--seed``."""
+    spec = driftgen.builtin_scenario(args.scenario)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    return (spec, *driftgen.generate(spec))
+
+
 def cmd_bench_latency(args: argparse.Namespace) -> int:
-    # bench imports numpy, which would cost every other command start-up
-    # time and memory; the bench commands import it when they run
+    # Importing bench costs 12-17 ms, with the statistics module it pulls
+    # in: about a sixth of the start-up of analyze and listen, which never
+    # use it.  So the bench commands import it when they run.
     from . import bench
 
     rows = bench.measure_latency(args.sizes, trials=args.trials)
-    for row in rows:
-        print(
-            f"window_size={row.window_size} "
-            f"median_seconds={_fmt(row.median_seconds)} "
-            f"p95_seconds={_fmt(row.p95_seconds)} "
-            f"min_seconds={_fmt(row.min_seconds)}"
-        )
     r2 = bench.linear_fit_r2(
         [r.window_size for r in rows], [r.min_seconds for r in rows]
     )
-    print(f"latency_fit_r2={_fmt(r2)}")
+    for row in rows:
+        print(_line(**asdict(row)))
+    print(_line(latency_fit_r2=r2))
     if args.outdir:
-        write_metrics_csv(
-            _outpath(args.outdir, "latency.csv"),
-            ("window_size", "median_seconds", "p95_seconds", "min_seconds"),
-            [
-                (
-                    r.window_size,
-                    _fmt(r.median_seconds),
-                    _fmt(r.p95_seconds),
-                    _fmt(r.min_seconds),
-                )
-                for r in rows
-            ],
-        )
+        _write_table(args.outdir, "latency.csv", rows)
     return 0
 
 
@@ -423,15 +433,20 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
     source = _make_source(args)
     report = bench.measure_throughput(source, lambda: _make_strategy(args), args.runs)
     print(
-        f"events={report.events} runs={len(report.runs)} "
-        f"mean_eps={_fmt(report.mean)} std_eps={_fmt(report.std)} "
-        f"min_eps={_fmt(min(report.runs))} max_eps={_fmt(max(report.runs))}"
+        _line(
+            events=report.events,
+            runs=len(report.runs),
+            mean_eps=report.mean,
+            std_eps=report.std,
+            min_eps=min(report.runs),
+            max_eps=max(report.runs),
+        )
     )
     if args.outdir:
         write_metrics_csv(
             _outpath(args.outdir, "throughput.csv"),
             ("run", "events", "events_per_sec"),
-            [(i, report.events, _fmt(r)) for i, r in enumerate(report.runs)],
+            [_cells((i, report.events, r)) for i, r in enumerate(report.runs)],
         )
     return 0
 
@@ -439,63 +454,27 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
 def cmd_bench_drift(args: argparse.Namespace) -> int:
     from . import bench
 
-    spec = driftgen.builtin_scenario(args.scenario)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    events, annotations = driftgen.generate(spec)
+    _, events, annotations = _generate_scenario(args)
     records = bench.run_stream(events, _make_strategy(args))
     series = bench.size_series(records, annotations.drift_case_indices[:1])
     report = bench.drift_adaptation_stats(
         series, series.drift_markers[0], before=args.before, after=args.after
     )
-    print(
-        f"windows={len(series.sizes)} drift_window={report.drift_window} "
-        f"mean_relative_change={_fmt(report.mean_relative_change)} "
-        f"std_relative_change={_fmt(report.std_relative_change)} "
-        f"coefficient_of_variation={_fmt(report.coefficient_of_variation)} "
-        f"pre_mean={_fmt(report.pre_mean)} during_mean={_fmt(report.during_mean)} "
-        f"post_mean={_fmt(report.post_mean)}"
-    )
+    print(_line(windows=len(series.sizes), **asdict(report)))
     if args.outdir:
         write_metrics_csv(
             _outpath(args.outdir, "window_sizes.csv"),
             SIZES_HEADER,
             [_sizes_row(r) for r in records],
         )
-        write_metrics_csv(
-            _outpath(args.outdir, "drift_report.csv"),
-            (
-                "drift_window",
-                "mean_relative_change",
-                "std_relative_change",
-                "coefficient_of_variation",
-                "pre_mean",
-                "during_mean",
-                "post_mean",
-            ),
-            [
-                (
-                    report.drift_window,
-                    _fmt(report.mean_relative_change),
-                    _fmt(report.std_relative_change),
-                    _fmt(report.coefficient_of_variation),
-                    _fmt(report.pre_mean),
-                    _fmt(report.during_mean),
-                    _fmt(report.post_mean),
-                )
-            ],
-        )
+        _write_table(args.outdir, "drift_report.csv", [report])
     return 0
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     from . import bench
 
-    spec = driftgen.builtin_scenario(args.scenario)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    events, annotations = driftgen.generate(spec)
-
+    spec, events, annotations = _generate_scenario(args)
     factories: dict[str, Callable[[], Windower]] = {
         name: partial(
             _make_strategy, argparse.Namespace(**{**vars(args), "strategy": name})
@@ -508,24 +487,11 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     print(f"{'strategy':<16} {'windows':>7} {'precision':>9} {'recall':>7} {'f1':>7}")
     for s in summaries:
         print(
-            f"{s.name:<16} {s.windows:>7} {s.mean_precision:>9.4f} "
+            f"{s.strategy:<16} {s.windows:>7} {s.mean_precision:>9.4f} "
             f"{s.mean_recall:>7.4f} {s.mean_f1:>7.4f}"
         )
     if args.outdir:
-        write_metrics_csv(
-            _outpath(args.outdir, "comparison.csv"),
-            ("strategy", "windows", "mean_precision", "mean_recall", "mean_f1"),
-            [
-                (
-                    s.name,
-                    s.windows,
-                    _fmt(s.mean_precision),
-                    _fmt(s.mean_recall),
-                    _fmt(s.mean_f1),
-                )
-                for s in summaries
-            ],
-        )
+        _write_table(args.outdir, "comparison.csv", summaries)
     return 0
 
 
@@ -771,6 +737,18 @@ def _coerce(action: argparse.Action, text: str):
     return text
 
 
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: the file's values become the command's defaults.
+
+    They take effect when the flag is parsed, so a ``--help`` after it
+    shows them; ``main`` parses again so that every flag on argv wins.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _apply_config(parser, load_config_file(values))
+        setattr(namespace, self.dest, values)
+
+
 def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
     by_dest = {a.dest: a for a in parser._actions}
     overrides = {}
@@ -789,19 +767,17 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> No
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, table = build_parsers()
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        # the file supplies defaults, so the flags on argv win on the second parse
-        command = (args.command,)
-        if args.command == "bench":
-            command += (args.bench_mode,)
-        try:
-            _apply_config(table[command], load_config_file(args.config))
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-            print(f"coverwin: config error: {exc}", file=sys.stderr)
-            return 2
+    parser, _ = build_parsers()
+    # argparse acts on flags in argv order; help goes last, after --config
+    argv = sorted(argv, key=lambda arg: arg in ("-h", "--help"))
+    try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file set defaults, so this parse lets the flags on argv win
+            args = parser.parse_args(argv)
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"coverwin: config error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ParseError, OrderingError) as exc:

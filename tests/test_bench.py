@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverwin import (
     AdaptiveWindow,
@@ -17,6 +18,8 @@ from coverwin import (
 )
 from coverwin.bench import (
     DfgAccuracy,
+    LatencyRow,
+    ThroughputReport,
     WindowSizeSeries,
     accuracy_by_strategy,
     df_pairs,
@@ -208,7 +211,7 @@ def test_accuracy_by_strategy_runs_all_factories():
             "count50": lambda: count_strategy(50),
         },
     )
-    assert [s.name for s in summaries] == ["count5", "count50"]
+    assert [s.strategy for s in summaries] == ["count5", "count50"]
     for s in summaries:
         assert s.windows > 0
         assert 0.0 <= s.mean_f1 <= 1.0
@@ -227,6 +230,18 @@ def test_linear_fit_r2_flat_line():
 
 def test_linear_fit_r2_scatter_is_low():
     assert linear_fit_r2([1, 2, 3, 4], [10, -3, 8, 0]) < 0.5
+
+
+@pytest.mark.parametrize("xs, ys", [([], []), ([3], [1.0]), ([3, 3], [1.0, 2.0])])
+def test_linear_fit_r2_needs_two_distinct_x(xs, ys):
+    with pytest.raises(ValueError):
+        linear_fit_r2(xs, ys)
+
+
+@pytest.mark.parametrize("sizes, trials", [([10], 0), ([], 3)])
+def test_measure_latency_rejects_no_trials_or_sizes(sizes, trials):
+    with pytest.raises(ValueError):
+        measure_latency(sizes, trials=trials)
 
 
 def test_measure_latency_shape():
@@ -253,3 +268,80 @@ def test_measure_throughput(tmp_path):
     assert report.std >= 0
     with pytest.raises(ValueError):
         measure_throughput(SourceConfig(FILE_JSONL, path), lambda: None, runs=0)
+
+
+def test_statistics_match_the_numpy_formulas():
+    """The stdlib statistics agree with the numpy code they replaced.
+
+    Each value must be within a relative 1e-12 of numpy's, where "relative"
+    is to the larger of the two values and the magnitude of the input: a
+    spread of exactly zero comes out of numpy as rounding noise in the
+    mean, which no relative bound on the result alone would admit.
+    """
+    np = pytest.importorskip("numpy")
+
+    def close(ours, ref, scale=1.0):
+        return abs(ours - ref) <= 1e-12 * max(abs(ours), abs(ref), scale)
+
+    def numpy_r2(xs, ys):
+        x = np.asarray(xs, dtype=float)
+        y = np.asarray(ys, dtype=float)
+        slope, intercept = np.polyfit(x, y, 1)
+        residual = y - (slope * x + intercept)
+        total = y - np.mean(y)
+        ss_tot = float(np.dot(total, total))
+        ss_res = float(np.dot(residual, residual))
+        if ss_tot == 0.0:
+            return 1.0 if ss_res <= 1e-12 * max(1.0, float(np.dot(y, y))) else 0.0
+        return 1.0 - ss_res / ss_tot
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 1000), min_size=3, max_size=60),
+        xs=st.lists(st.integers(1, 1000), min_size=2, max_size=12, unique=True),
+        slope=st.integers(0, 5),
+        noise=st.lists(st.integers(-500, 500), min_size=12, max_size=12),
+        unit=st.floats(1e-7, 1e-3),
+        times=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30),
+        runs=st.lists(st.floats(1e3, 1e6), min_size=1, max_size=10),
+    )
+    def check(sizes, xs, slope, noise, unit, times, runs):
+        before = len(sizes) // 3 or 1
+        after = len(sizes) - before
+        rep = drift_adaptation_stats(sizes, before, before=before, after=after)
+        span = np.asarray(sizes, dtype=float)
+        rel = np.abs(np.diff(span)) / span[:-1]
+        half = after // 2
+        expected = (
+            np.mean(rel),
+            np.std(rel),
+            np.std(span) / np.mean(span),
+            np.mean(span[:before]),
+            np.mean(span[before:][:half]),
+            np.mean(span[before:][half:]),
+        )
+        got = (
+            rep.mean_relative_change,
+            rep.std_relative_change,
+            rep.coefficient_of_variation,
+            rep.pre_mean,
+            rep.during_mean,
+            rep.post_mean,
+        )
+        for ours, ref in zip(got, expected):
+            assert close(ours, float(ref), max(np.max(rel), 1.0))
+
+        # latency-like samples: a line in x plus bounded noise, in seconds
+        ys = [(slope * x + e) * unit for x, e in zip(xs, noise)]
+        assert close(linear_fit_r2(xs, ys), numpy_r2(xs, ys))
+
+        row = LatencyRow.from_samples(7, times)
+        assert close(row.median_seconds, float(np.median(times)))
+        assert close(row.p95_seconds, float(np.percentile(times, 95)))
+
+        report = ThroughputReport(events=1, runs=tuple(runs))
+        assert close(report.mean, float(np.mean(runs)))
+        std = float(np.std(runs, ddof=1)) if len(runs) > 1 else 0.0
+        assert close(report.std, std, max(runs))
+
+    check()

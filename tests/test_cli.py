@@ -301,6 +301,24 @@ def test_config_missing_file_fails(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", "CFG", "--help"],
+        ["analyze", "--help", "--config", "CFG"],
+        ["bench", "drift", "--config=CFG", "-h"],
+    ],
+    ids=["config-then-help", "help-then-config", "bench-drift"],
+)
+def test_help_shows_config_file_defaults(tmp_path, capsys, argv):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("count = 7\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("CFG", str(cfg)) for a in argv])
+    assert exc.value.code == 0
+    assert "events per count_tumbling window (default: 7)" in capsys.readouterr().out
+
+
 # --- bench modes -----------------------------------------------------------------
 
 
@@ -315,6 +333,27 @@ def test_bench_latency(tmp_path, capsys):
     rows = read_csv(str(tmp_path / "latency.csv"))
     assert rows[0] == ["window_size", "median_seconds", "p95_seconds", "min_seconds"]
     assert len(rows) == 3
+
+
+def test_bench_latency_single_trial(tmp_path, capsys):
+    argv = ["bench", "latency", "--sizes", "5,10", "--trials", "1"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    rows = read_csv(str(tmp_path / "latency.csv"))[1:]
+    assert [row[0] for row in rows] == ["5", "10"]
+    for _, median, p95, minimum in rows:
+        assert median == p95 == minimum
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--trials", "0"], ["--sizes", ","], ["--sizes", "100"], ["--sizes", "100,100"]],
+    ids=["no-trials", "no-sizes", "one-size", "repeated-size"],
+)
+def test_bench_latency_rejects_unusable_input(capsys, flags):
+    assert main(["bench", "latency", "--sizes", "5,10", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("coverwin: ")
 
 
 def test_bench_throughput(tmp_path, capsys):
@@ -361,6 +400,45 @@ def test_bench_compare(tmp_path, capsys):
     rows = read_csv(str(tmp_path / "comparison.csv"))
     assert rows[0] == ["strategy", "windows", "mean_precision", "mean_recall", "mean_f1"]
     assert [row[0] for row in rows[1:]] == ["adaptive", "count_tumbling", "landmark"]
+
+
+SUDDEN_DRIFT_OUT = (
+    "windows=265 drift_window=120 mean_relative_change=0.0458128 "
+    "std_relative_change=0.0916689 coefficient_of_variation=0.14752 "
+    "pre_mean=5 during_mean=6.9 post_mean=6.8\n"
+)
+SUDDEN_DRIFT_CSV = (
+    "drift_window,mean_relative_change,std_relative_change,"
+    "coefficient_of_variation,pre_mean,during_mean,post_mean\r\n"
+    "120,0.0458128,0.0916689,0.14752,5,6.9,6.8\r\n"
+)
+SUDDEN_COMPARE_OUT = (
+    "strategy         windows precision  recall      f1\n"
+    "adaptive             177    1.0000  0.8770  0.9163\n"
+    "count_tumbling        80    1.0000  0.7962  0.8755\n"
+    "landmark             400    1.0000  0.6156  0.6877\n"
+)
+SUDDEN_COMPARE_CSV = (
+    "strategy,windows,mean_precision,mean_recall,mean_f1\r\n"
+    "adaptive,177,1,0.87701,0.916338\r\n"
+    "count_tumbling,80,1,0.796154,0.875539\r\n"
+    "landmark,400,1,0.615577,0.687739\r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, stdout, csv_name, csv_text",
+    [
+        ("drift", SUDDEN_DRIFT_OUT, "drift_report.csv", SUDDEN_DRIFT_CSV),
+        ("compare", SUDDEN_COMPARE_OUT, "comparison.csv", SUDDEN_COMPARE_CSV),
+    ],
+)
+def test_bench_sudden_exact_output(tmp_path, capsys, mode, stdout, csv_name, csv_text):
+    """The deterministic bench reports, byte for byte, on the sudden scenario."""
+    argv = ["bench", mode, "--scenario", "sudden", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+    assert (tmp_path / csv_name).read_bytes().decode("utf-8") == csv_text
 
 
 def test_bench_compare_help_shows_stricter_floor(capsys):
@@ -480,19 +558,59 @@ def test_console_script_is_installed(tmp_path):
     assert "events=900" in proc.stdout
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """Only the bench commands need numpy; analyze and listen start without it."""
+def run_python(code):
+    """Run ``code`` in a fresh interpreter on this checkout; returns its stdout."""
     src_dir = os.path.dirname(os.path.dirname(coverwin.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys\n"
-        "import coverwin.cli\n"
-        f"assert coverwin.cli.__file__.startswith({src_dir!r}), coverwin.cli.__file__\n"
-        "print('numpy' in sys.modules)\n"
+    code += (
+        "\nimport coverwin\n"
+        f"assert coverwin.__file__.startswith({src_dir!r}), coverwin.__file__\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_bench_unloaded():
+    """analyze and listen start without paying for the bench module's import."""
+    out = run_python("import sys\nimport coverwin.cli\nprint('coverwin.bench' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_coverwin_imports_only_the_standard_library():
+    """coverwin has no runtime dependency: all of it loads only stdlib modules.
+
+    Compared with a snapshot taken before the import, because ``site`` may
+    already have loaded third-party modules.
+    """
+    out = run_python(
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import coverwin\n"
+        "for module in pkgutil.iter_modules(coverwin.__path__):\n"
+        "    importlib.import_module('coverwin.' + module.name)\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - {'coverwin'} - sys.stdlib_module_names))\n"
+    )
+    assert out.strip() == "[]"
+
+
+def test_bench_commands_run_without_numpy(tmp_path):
+    path = str(tmp_path / "ev.jsonl")
+    write_events_jsonl(make_events("ABCDE" * 40), path)
+    out = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from coverwin.cli import main\n"
+        "codes = [\n"
+        "    main(['bench', 'latency', '--sizes', '5,10', '--trials', '2']),\n"
+        f"    main(['bench', 'throughput', {path!r}, '--runs', '2']),\n"
+        "    main(['bench', 'drift', '--scenario', 'steady3']),\n"
+        "    main(['bench', 'compare', '--scenario', 'steady3']),\n"
+        "]\n"
+        "print(codes)\n"
+    )
+    assert out.splitlines()[-1] == "[0, 0, 0, 0]"

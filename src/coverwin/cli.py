@@ -211,11 +211,10 @@ def _source_kind(path: str, fmt: str) -> str:
 
 
 def _make_source(args: argparse.Namespace) -> SourceConfig:
-    speed = args.speed if args.speed != "max" else None
     return SourceConfig(
         kind=_source_kind(args.file, args.format),
         path=args.file,
-        replay_speed=speed,
+        replay_speed=args.speed,
         strict_order=not args.lenient,
     )
 
@@ -257,10 +256,13 @@ class _RecordWriter:
     """Streams closed windows to the configured outputs as they happen.
 
     Keeps running aggregates for the run summary instead of the records,
-    so memory does not grow with the stream.
+    so memory does not grow with the stream.  ``live`` line-buffers the
+    windows file, so a reader tailing it sees each record as it closes.
     """
 
-    def __init__(self, args: argparse.Namespace, verbose: bool) -> None:
+    def __init__(
+        self, args: argparse.Namespace, verbose: bool, live: bool = False
+    ) -> None:
         self.verbose = verbose
         self.windows = 0
         self._size_sum = 0
@@ -270,7 +272,9 @@ class _RecordWriter:
         self._coverage_sum = 0
         self._forced = 0
         self._windows_fp = (
-            open(args.windows_out, "w", encoding="utf-8") if args.windows_out else None
+            open(args.windows_out, "w", encoding="utf-8", buffering=1 if live else -1)
+            if args.windows_out
+            else None
         )
         self._sizes_fp = None
         if args.sizes_csv:
@@ -288,7 +292,6 @@ class _RecordWriter:
         self._forced += record.force_closed
         if self._windows_fp is not None:
             self._windows_fp.write(window_record_to_json(record) + "\n")
-            self._windows_fp.flush()
         if self._sizes_fp is not None:
             self._sizes.writerow(_sizes_row(record))
         if self.verbose:
@@ -499,7 +502,7 @@ def cmd_listen(
     args: argparse.Namespace, stop_event: threading.Event | None = None
 ) -> int:
     strategy = _make_strategy(args)
-    writer = _RecordWriter(args, verbose=not args.quiet)
+    writer = _RecordWriter(args, verbose=not args.quiet, live=True)
 
     def on_event(event) -> None:
         record = strategy.process_event(event)

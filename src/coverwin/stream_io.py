@@ -17,9 +17,11 @@ import queue
 import socketserver
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
+from math import isfinite
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .views import SEPARATOR, Event
@@ -36,6 +38,7 @@ _MS = timedelta(milliseconds=1)
 
 # the C scanner behind json.loads, called directly on lines it reads whole
 _scan_json = make_scanner(json.JSONDecoder())
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class ParseError(ValueError):
@@ -441,25 +444,34 @@ def write_events_csv(events: Iterable[Event], path: str) -> None:
 
 
 def window_record_to_json(record: WindowRecord) -> str:
-    """One window record as a single JSON line with a stable key order."""
-    return json.dumps(
-        {
-            "index": record.index,
-            "size": record.size,
-            "first_ts": record.first_ts,
-            "last_ts": record.last_ts,
-            "coverage": record.coverage,
-            "completeness": record.completeness,
-            "chao1": record.chao1,
-            "threshold": record.threshold,
-            "force_closed": record.force_closed,
-            "events": [
-                {"case": e.case_id, "activity": e.activity, "timestamp": e.timestamp}
-                for e in record.events
-            ],
-        },
-        separators=(",", ":"),
+    """One window record as a single JSON line with a stable key order.
+
+    Same text as ``json.dumps(..., separators=(",", ":"))``; a non-finite
+    float sends the scalar keys through json's encoder (``NaN``, ``Infinity``).
+    """
+    r = record
+    events = ",".join(
+        [
+            f'{{"case":{_quote(e.case_id)},"activity":{_quote(e.activity)},'
+            f'"timestamp":{e.timestamp!r}}}'
+            for e in r.events
+        ]
     )
+    # any inf or nan makes the sum non-finite; an overflowing sum only
+    # takes the encoder path, which gives the same text
+    if isfinite(r.coverage + r.completeness + r.chao1 + r.threshold):
+        head = (
+            f'{{"index":{r.index!r},"size":{r.size!r},"first_ts":{r.first_ts!r},'
+            f'"last_ts":{r.last_ts!r},"coverage":{r.coverage!r},'
+            f'"completeness":{r.completeness!r},"chao1":{r.chao1!r},'
+            f'"threshold":{r.threshold!r},'
+            f'"force_closed":{"true" if r.force_closed else "false"}'
+        )
+    else:
+        # the record's fields minus events, in the key order above
+        scalars = {f.name: getattr(r, f.name) for f in fields(r) if f.name != "events"}
+        head = _encode_json(scalars)[:-1]
+    return f'{head},"events":[{events}]}}'
 
 
 def parse_window_record(line: str) -> WindowRecord:

@@ -12,7 +12,7 @@ be evicted from the front in amortized O(1) per event.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 #: Joins activities into composite species tokens.  Rejected inside
@@ -61,9 +61,9 @@ class ViewConfig:
 class _CaseState:
     __slots__ = ("recent", "last_seen")
 
-    def __init__(self, maxlen: int | None) -> None:
-        # maxlen=None keeps the whole sequence (trace variants)
-        self.recent: deque[str] = deque(maxlen=maxlen)
+    def __init__(self) -> None:
+        # last n activities (all for trace variants); a list joins fastest
+        self.recent: list[str] = []
         self.last_seen = 0
 
 
@@ -78,12 +78,16 @@ class SpeciesView:
     def __init__(self, config: ViewConfig) -> None:
         self.config = config
         if config.kind == ACTIVITY_NGRAM:
-            self._maxlen: int | None = config.ngram_order
+            self._order = config.ngram_order
         elif config.kind == DIRECTLY_FOLLOWS:
-            self._maxlen = 2
+            self._order = 2
         else:
-            self._maxlen = None
+            # trace variants keep every activity and emit on completion
+            self._order = float("inf")
         self._cases: OrderedDict[str, _CaseState] = OrderedDict()
+        # no case is idle at or before this stream time: the front case's
+        # last_seen + case_timeout at the last scan (timestamps never go back)
+        self._idle_after = float("-inf")
 
     @property
     def open_cases(self) -> int:
@@ -93,26 +97,18 @@ class SpeciesView:
         """Species emitted by this event (empty while context is short)."""
         state = self._cases.get(event.case_id)
         if state is None:
-            state = _CaseState(self._maxlen)
+            state = _CaseState()
             self._cases[event.case_id] = state
         else:
             self._cases.move_to_end(event.case_id)
-        state.recent.append(event.activity)
+        recent = state.recent
+        recent.append(event.activity)
         state.last_seen = event.timestamp
-
-        kind = self.config.kind
-        if kind == ACTIVITY_NGRAM:
-            order = self.config.ngram_order
-            if order == 1:
-                return [event.activity]
-            if len(state.recent) == order:
-                return [SEPARATOR.join(state.recent)]
-            return []
-        if kind == DIRECTLY_FOLLOWS:
-            if len(state.recent) == 2:
-                return [state.recent[0] + SEPARATOR + state.recent[1]]
-            return []
-        # trace variants are only emitted when the case completes
+        # an n-gram once the case holds n; directly-follows is the 2-gram
+        if len(recent) > self._order:
+            del recent[0]
+        if len(recent) == self._order:
+            return [SEPARATOR.join(recent)]
         return []
 
     def flush_cases(self, now: int | None = None) -> list[str]:
@@ -121,8 +117,11 @@ class SpeciesView:
         A case is idle when its last activity is more than ``case_timeout``
         ms of stream time before ``now``.  ``now=None`` means end of
         stream: every remaining case completes.  For non-variant views the
-        only effect is that evicted cases lose their context.
+        only effect is that evicted cases lose their context.  Timestamps
+        must reach the view in non-decreasing order.
         """
+        if now is not None and now <= self._idle_after:
+            return []
         emit_variants = self.config.kind == TRACE_VARIANT
         timeout = self.config.case_timeout
         emitted: list[str] = []
@@ -131,6 +130,7 @@ class SpeciesView:
         while self._cases:
             case_id, state = next(iter(self._cases.items()))
             if now is not None and state.last_seen + timeout >= now:
+                self._idle_after = state.last_seen + timeout
                 break
             del self._cases[case_id]
             if emit_variants:

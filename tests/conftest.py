@@ -8,6 +8,7 @@ frozen before the production code was tested against them.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from coverwin import (
     SpeciesView,
     ThresholdState,
     ViewConfig,
+    WindowRecord,
     coverage,
     parse_event,
     update_threshold,
@@ -67,6 +69,31 @@ def ref_coverage(n: int, s: int, f1: int, f2: int) -> float:
         return 0.0
     value = 1.0 - (f1 / n) * (1.0 - (2.0 * f2) / denom)
     return min(max(value, 0.0), 1.0)
+
+
+# --- reference serialization ---------------------------------------------------
+
+
+def dumps_window_record(record: WindowRecord) -> str:
+    """The json.dumps form window_record_to_json must reproduce."""
+    return json.dumps(
+        {
+            "index": record.index,
+            "size": record.size,
+            "first_ts": record.first_ts,
+            "last_ts": record.last_ts,
+            "coverage": record.coverage,
+            "completeness": record.completeness,
+            "chao1": record.chao1,
+            "threshold": record.threshold,
+            "force_closed": record.force_closed,
+            "events": [
+                {"case": e.case_id, "activity": e.activity, "timestamp": e.timestamp}
+                for e in record.events
+            ],
+        },
+        separators=(",", ":"),
+    )
 
 
 # --- event helpers -----------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import os
 import shutil
 import socket
@@ -19,15 +20,27 @@ from pathlib import Path
 import pytest
 
 import coverwin
-from coverwin.cli import _RecordWriter, build_parsers, cmd_listen, load_config_file, main
+from coverwin import driftgen
+from coverwin.bench import run_stream
+from coverwin.cli import (
+    SIZES_HEADER,
+    _make_strategy,
+    _RecordWriter,
+    _sizes_row,
+    build_parsers,
+    cmd_listen,
+    load_config_file,
+    main,
+)
 from coverwin.stream_io import (
     event_to_json_line,
     parse_window_record,
     write_events_jsonl,
 )
+from coverwin.views import VIEW_KINDS
 from coverwin.window import WindowRecord
 
-from conftest import DATA_DIR, make_events
+from conftest import DATA_DIR, dumps_window_record, make_events
 
 WORKED = f"{DATA_DIR}/worked_example.jsonl"
 ROOT = Path(__file__).resolve().parents[1]
@@ -448,6 +461,39 @@ def test_bench_compare_help_shows_stricter_floor(capsys):
     assert "default: 0.75" in capsys.readouterr().out
 
 
+STRATEGY_FLAGS = [
+    ["--strategy", "adaptive"],
+    ["--strategy", "count_tumbling", "--count", "20"],
+    ["--strategy", "time_tumbling", "--duration", "30000"],
+    ["--strategy", "landmark", "--landmark-activity", "A"],
+]
+
+
+@pytest.mark.parametrize("view", VIEW_KINDS)
+@pytest.mark.parametrize(
+    "scenario", ["sudden", "gradual", "recurring", "incremental", "steady3", "steady5"]
+)
+def test_analyze_outputs_are_the_reference_text(tmp_path, scenario, view):
+    """analyze's files hold run_stream's records in their json.dumps and
+    csv.writer form, for every strategy."""
+    events, _ = driftgen.generate(driftgen.builtin_scenario(scenario))
+    path = str(tmp_path / "events.jsonl")
+    write_events_jsonl(events, path)
+    windows_path, sizes_path = tmp_path / "win.jsonl", tmp_path / "sizes.csv"
+    outputs = ["--windows-out", str(windows_path), "--sizes-csv", str(sizes_path)]
+    for flags in STRATEGY_FLAGS:
+        argv = ["analyze", path, "--view", view, *flags]
+        strategy = _make_strategy(build_parsers()[0].parse_args(argv))
+        records = run_stream(events, strategy)
+        assert main(argv + outputs) == 0
+        assert windows_path.read_text(encoding="utf-8") == "".join(
+            dumps_window_record(r) + "\n" for r in records
+        )
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([SIZES_HEADER, *map(_sizes_row, records)])
+        assert sizes_path.read_bytes().decode("utf-8") == expected.getvalue()
+
+
 # --- listen ----------------------------------------------------------------------
 
 
@@ -457,6 +503,18 @@ def free_port():
     port = sock.getsockname()[1]
     sock.close()
     return port
+
+
+def connect(port, seconds=5.0):
+    """A connection to a listener that may still be starting."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            return socket.create_connection(("127.0.0.1", port), timeout=0.2)
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.02)
 
 
 def test_listen_ingests_until_stopped(tmp_path, capsys):
@@ -480,16 +538,7 @@ def test_listen_ingests_until_stopped(tmp_path, capsys):
     th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
     th.start()
     try:
-        deadline = time.monotonic() + 5.0
-        sock = None
-        while sock is None:
-            try:
-                sock = socket.create_connection(("127.0.0.1", port), timeout=0.2)
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.02)
-        with sock:
+        with connect(port) as sock:
             payload = "".join(
                 event_to_json_line(ev) + "\n"
                 for ev in make_events("AAAAAA", case_id="c")
@@ -506,6 +555,35 @@ def test_listen_ingests_until_stopped(tmp_path, capsys):
     with open(windows_path, encoding="utf-8") as fp:
         sizes = [parse_window_record(line).size for line in fp]
     assert sizes == [5, 1]
+
+
+def test_listen_writes_each_record_as_it_closes(tmp_path):
+    windows_path = tmp_path / "win.jsonl"
+    port = free_port()
+    args = build_parsers()[0].parse_args(
+        ["listen", "--port", str(port), "--quiet", "--windows-out", str(windows_path)]
+    )
+    stop = threading.Event()
+    th = threading.Thread(target=cmd_listen, args=(args, stop))
+    th.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        with connect(port) as sock:
+            # the fifth event closes the first window (min window size 5)
+            events = make_events("AAAAAA", case_id="c")
+            payload = "".join(event_to_json_line(ev) + "\n" for ev in events)
+            sock.sendall(payload.encode("utf-8"))
+            # read while listen still runs: the record must not wait for close()
+            live = ""
+            while not live.endswith("\n"):
+                assert time.monotonic() < deadline, "no record reached the file"
+                time.sleep(0.02)
+                live = windows_path.read_text(encoding="utf-8")
+    finally:
+        stop.set()
+        th.join(timeout=5.0)
+    assert not th.is_alive()
+    assert [parse_window_record(line).size for line in live.splitlines()] == [5]
 
 
 def test_console_script_is_installed(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import socket
 import sys
 import threading
@@ -37,7 +38,7 @@ from coverwin.stream_io import (
 )
 from coverwin.window import WindowRecord
 
-from conftest import make_events
+from conftest import dumps_window_record, make_events
 
 
 # --- parsing -----------------------------------------------------------------
@@ -369,6 +370,52 @@ def test_window_record_key_order_is_stable():
         "force_closed",
         "events",
     ]
+
+
+# quotes, backslashes, control and non-ASCII characters, astral ones and
+# lone surrogates, each of which json escapes its own way
+awkward_text = st.text(
+    st.one_of(
+        st.characters(blacklist_categories=()),
+        st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600/'),
+    ),
+    max_size=12,
+)
+big_ints = st.integers(-(2**70), 2**70)
+record_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, math.nan, math.inf, -math.inf]),
+)
+window_records = st.builds(
+    WindowRecord,
+    index=big_ints,
+    events=st.lists(
+        st.builds(Event, awkward_text, awkward_text, big_ints), max_size=5
+    ).map(tuple),
+    size=big_ints,
+    first_ts=big_ints,
+    last_ts=big_ints,
+    coverage=record_floats,
+    completeness=record_floats,
+    chao1=record_floats,
+    threshold=record_floats,
+    force_closed=st.booleans(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(record=window_records)
+def test_window_record_to_json_is_the_json_dumps_text(record):
+    line = window_record_to_json(record)
+    assert line == dumps_window_record(record)
+    floats = (record.coverage, record.completeness, record.chao1, record.threshold)
+    # json reads an escaped high + low surrogate back as one character,
+    # so text holding surrogates is not expected to come back as it was
+    text = "".join(e.case_id + e.activity for e in record.events)
+    if all(map(math.isfinite, floats)) and not any(
+        "\ud800" <= ch <= "\udfff" for ch in text
+    ):
+        assert parse_window_record(line) == record
 
 
 def test_write_metrics_csv(tmp_path):

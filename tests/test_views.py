@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverwin import Event, SpeciesView, ViewConfig
 from coverwin.views import (
@@ -10,6 +11,7 @@ from coverwin.views import (
     DIRECTLY_FOLLOWS,
     MAX_NGRAM_ORDER,
     TRACE_VARIANT,
+    VIEW_KINDS,
 )
 
 from conftest import make_events
@@ -131,3 +133,85 @@ def test_event_is_immutable():
     ev = Event("c", "A", 1)
     with pytest.raises(AttributeError):
         ev.activity = "B"
+
+
+class UnguardedView:
+    """Reference view: a plain dict of every case, scanned in full."""
+
+    def __init__(self, config: ViewConfig) -> None:
+        self.config = config
+        self.order = {ACTIVITY_NGRAM: config.ngram_order, DIRECTLY_FOLLOWS: 2}.get(
+            config.kind
+        )
+        self.cases: dict[str, tuple[int, list[str]]] = {}
+
+    def extract(self, event: Event) -> list[str]:
+        _, activities = self.cases.pop(event.case_id, (0, []))
+        activities.append(event.activity)
+        self.cases[event.case_id] = (event.timestamp, activities)
+        if self.order is not None and len(activities) >= self.order:
+            return ["|".join(activities[-self.order :])]
+        return []
+
+    def flush_cases(self, now: int | None) -> list[str]:
+        timeout = self.config.case_timeout
+        idle = [
+            case
+            for case, (last_seen, _) in self.cases.items()
+            if now is None or last_seen + timeout < now
+        ]
+        variants = ["|".join(self.cases.pop(case)[1]) for case in idle]
+        return variants if self.config.kind == TRACE_VARIANT else []
+
+
+# a non-decreasing stream: events (case, activity) and bare flush_cases(now)
+# calls, each a step of 0..40 ms after the one before
+stream_ops = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.one_of(
+            st.none(), st.tuples(st.sampled_from("abcd"), st.sampled_from("ABC"))
+        ),
+    ),
+    max_size=60,
+)
+
+
+def drive(views, start, ops):
+    """Feed ops to every view as Windower does; yields each step's results."""
+    now = start
+    for step, op in ops:
+        now += step
+        if op is not None:
+            event = Event(op[0], op[1], now)
+            yield [v.extract(event) for v in views]
+        yield [v.flush_cases(now) for v in views]
+    yield [v.flush_cases(None) for v in views]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(VIEW_KINDS),
+    order=st.integers(1, MAX_NGRAM_ORDER),
+    timeout=st.integers(1, 60),
+    start=st.integers(-(10**6), 10**6),
+    ops=stream_ops,
+)
+def test_guarded_flush_matches_a_full_scan(kind, order, timeout, start, ops):
+    config = ViewConfig(kind, ngram_order=order, case_timeout=timeout)
+    view, reference = SpeciesView(config), UnguardedView(config)
+    for got, expected in drive([view, reference], start, ops):
+        assert got == expected
+        assert view.open_cases == len(reference.cases)
+    assert view.open_cases == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(timeout=st.integers(1, 60), start=st.integers(0, 10**6), ops=stream_ops)
+def test_directly_follows_is_the_activity_bigram(timeout, start, ops):
+    pairs = SpeciesView(ViewConfig(DIRECTLY_FOLLOWS, case_timeout=timeout))
+    bigrams = SpeciesView(
+        ViewConfig(ACTIVITY_NGRAM, ngram_order=2, case_timeout=timeout)
+    )
+    for got, expected in drive([pairs, bigrams], start, ops):
+        assert got == expected

@@ -105,15 +105,21 @@ def coverage(stats: AbundanceStats) -> float:
     observation (n == 1, f1 == 1, f2 == 0, where the correction term has
     a zero denominator) carries no reobservation evidence and gets 0.0.
     """
-    if stats.n == 0:
+    n = stats.n
+    if n == 0:
         return 0.0
-    if stats.f1 == 0:
+    f1 = stats.f1
+    if f1 == 0:
         return 1.0
-    denom = (stats.n - 1) * stats.f1 + 2 * stats.f2
+    f2 = stats.f2
+    denom = (n - 1) * f1 + 2 * f2
     if denom == 0:
         return 0.0
-    value = 1.0 - (stats.f1 / stats.n) * (1.0 - 2.0 * stats.f2 / denom)
-    return min(1.0, max(0.0, value))
+    value = 1.0 - (f1 / n) * (1.0 - 2.0 * f2 / denom)
+    # the clamp min(1.0, max(0.0, value)) as comparisons: NaN gives 0.0
+    if value >= 1.0:
+        return 1.0
+    return value if value > 0.0 else 0.0
 
 
 def estimates(stats: AbundanceStats) -> Estimates:

@@ -343,7 +343,7 @@ def measure_throughput(
     events = 0
     for _ in range(runs):
         strategy = strategy_factory()
-        stats = replay(source, lambda e: strategy.process_event(e))
+        stats = replay(source, strategy.process_event)
         strategy.flush(None)
         events = stats.delivered
         rates.append(stats.events_per_sec)

@@ -28,17 +28,31 @@ MAX_NGRAM_ORDER = 5
 DEFAULT_CASE_TIMEOUT_MS = 30 * 60 * 1000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """One observed activity execution.
 
     ``timestamp`` is milliseconds since the epoch; ordering and timeouts
     use stream time only, never the wall clock.
+
+    A frozen dataclass with a hand-written ``__init__``: it fills the
+    three slots through their descriptors, which is cheaper than the
+    generated ``object.__setattr__`` by field name.
     """
 
     case_id: str
     activity: str
     timestamp: int
+
+    def __init__(self, case_id: str, activity: str, timestamp: int) -> None:
+        _set_case_id(self, case_id)
+        _set_activity(self, activity)
+        _set_timestamp(self, timestamp)
+
+
+_set_case_id = Event.case_id.__set__
+_set_activity = Event.activity.__set__
+_set_timestamp = Event.timestamp.__set__
 
 
 @dataclass(frozen=True)
@@ -85,9 +99,11 @@ class SpeciesView:
             # trace variants keep every activity and emit on completion
             self._order = float("inf")
         self._cases: OrderedDict[str, _CaseState] = OrderedDict()
-        # no case is idle at or before this stream time: the front case's
-        # last_seen + case_timeout at the last scan (timestamps never go back)
-        self._idle_after = float("-inf")
+        #: No case is idle at or before this stream time: the front case's
+        #: last_seen + case_timeout at the last scan (timestamps never go
+        #: back).  ``flush_cases(now)`` returns nothing while ``now`` is at
+        #: or below it, so a caller may skip the call.
+        self.idle_after = float("-inf")
 
     @property
     def open_cases(self) -> int:
@@ -120,7 +136,7 @@ class SpeciesView:
         only effect is that evicted cases lose their context.  Timestamps
         must reach the view in non-decreasing order.
         """
-        if now is not None and now <= self._idle_after:
+        if now is not None and now <= self.idle_after:
             return []
         emit_variants = self.config.kind == TRACE_VARIANT
         timeout = self.config.case_timeout
@@ -130,7 +146,7 @@ class SpeciesView:
         while self._cases:
             case_id, state = next(iter(self._cases.items()))
             if now is not None and state.last_seen + timeout >= now:
-                self._idle_after = state.last_seen + timeout
+                self.idle_after = state.last_seen + timeout
                 break
             del self._cases[case_id]
             if emit_variants:

@@ -73,15 +73,29 @@ def _is_stagnant(history: Sequence[float], state: ThresholdState) -> bool:
 def _next_threshold(
     ct: float, sf: float, dr: float, mt: float, c_optimal: float, stagnant: bool
 ) -> tuple[float, float]:
-    """Next ``(ct, sf)`` given the curve evidence already extracted."""
+    """Next ``(ct, sf)`` given the curve evidence already extracted.
+
+    Each clamp is a comparison that keeps the same operand as the
+    ``min``/``max`` form would, ties and NaN included, but costs no call.
+    """
     if stagnant:
-        sf = min(SF_GROWTH * sf, SF_CEILING)
-        ct_temp = max(ct - dr, mt)
+        sf = SF_GROWTH * sf
+        if sf > SF_CEILING:
+            sf = SF_CEILING
+        ct_temp = ct - dr
+        if ct_temp < mt:
+            ct_temp = mt
     else:
-        sf = max(SF_DECAY * sf, SF_FLOOR)
+        sf = SF_DECAY * sf
+        if sf < SF_FLOOR:
+            sf = SF_FLOOR
         ct_temp = ct
     ct = sf * c_optimal + (1.0 - sf) * ct_temp
-    return min(max(ct, mt), CT_CEILING), sf
+    if ct < mt:
+        ct = mt
+    if ct > CT_CEILING:
+        ct = CT_CEILING
+    return ct, sf
 
 
 def update_threshold(history: Sequence[float], state: ThresholdState) -> ThresholdState:
@@ -177,13 +191,17 @@ class Windower:
         if self._buffer and self._starts_window(event):
             closed = self._close(force=False)
         self._buffer.append(event)
-        stats = self._stats
-        for species in self.view.extract(event):
-            stats.observe(species)
+        observe = self._stats.observe
+        view = self.view
+        for species in view.extract(event):
+            observe(species)
         # completed-case species (trace variants) belong to the window
-        # that is open when the completion is detected
-        for species in self.view.flush_cases(event.timestamp):
-            stats.observe(species)
+        # that is open when the completion is detected; no case can be
+        # idle before the view's idle bound, so the call is skipped
+        now = event.timestamp
+        if now > view.idle_after:
+            for species in view.flush_cases(now):
+                observe(species)
         if self._is_complete():
             closed = self._close(force=False)
         return closed
@@ -282,27 +300,34 @@ class AdaptiveWindow(Windower):
         cov = coverage_of(self._stats)
         h = self._history
         h.append(cov)
+        # one coverage point per buffered event
         n = len(h)
+        ct = self._threshold
         if n >= 2:
-            if abs(h[n - 2] - cov) < self._delta:
-                self._flat_run += 1
+            prev = h[-2]
+            delta = self._delta
+            d = prev - cov
+            if -delta < d < delta:
+                flat_run = self._flat_run + 1
             else:
-                self._flat_run = 0
+                flat_run = 0
+            self._flat_run = flat_run
             if n >= 3:
                 # only the newest interior point n-2 is a new elbow candidate
-                r2 = h[n - 3] - 2.0 * h[n - 2] + cov
+                r2 = h[-3] - 2.0 * prev + cov
                 if r2 > self._best_r2:
                     self._best_r2 = r2
                     self._c_optimal = cov
-                self._threshold, self._sf = _next_threshold(
-                    self._threshold,
+                ct, self._sf = _next_threshold(
+                    ct,
                     self._sf,
                     self._dr,
                     self._mt,
                     self._c_optimal,
-                    self._flat_run >= self._stagnant_run,
+                    flat_run >= self._stagnant_run,
                 )
-        return cov >= self._threshold and len(self._buffer) >= self.min_window_size
+                self._threshold = ct
+        return cov >= ct and n >= self.min_window_size
 
     def _close(self, force: bool) -> WindowRecord:
         record = super()._close(force)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coverwin import AbundanceStats, chao1, completeness, coverage, estimates
 
@@ -111,3 +111,51 @@ def test_estimates_stay_in_bounds(tokens):
     assert 0.0 <= est.coverage <= 1.0
     assert 0.0 <= est.completeness <= 1.0
     assert est.chao1 >= stats.s_n
+
+
+def minmax_coverage(n, f1, f2):
+    if n == 0:
+        return 0.0
+    if f1 == 0:
+        return 1.0
+    denom = (n - 1) * f1 + 2 * f2
+    if denom == 0:
+        return 0.0
+    value = 1.0 - (f1 / n) * (1.0 - 2.0 * f2 / denom)
+    return min(1.0, max(0.0, value))
+
+
+def raw_coverage(n, f1, f2):
+    """The unclamped value, for inputs that reach the clamp."""
+    return 1.0 - (f1 / n) * (1.0 - 2.0 * f2 / ((n - 1) * f1 + 2 * f2))
+
+
+def test_clamp_examples_straddle_both_bounds():
+    # the inputs pinned below put the raw value under, on and over 0 and 1
+    assert raw_coverage(3, 4, 0) < 0.0
+    assert raw_coverage(5, 5, 0) == 0.0
+    assert 0.0 < raw_coverage(5, 5, 1) < 1.0
+    assert 0.0 < raw_coverage(10**6, 1, 0) < 1.0
+    assert raw_coverage(1, 3, 2) == 1.0
+    assert raw_coverage(2, 1, -1) > 1.0
+
+
+# coverage is shared by the engine and the batch oracle, so it is pinned to
+# its min/max clamp here; counters outside a real sample reach the clamps
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=-5, max_value=200),
+    st.integers(min_value=-5, max_value=200),
+)
+@example(3, 4, 0)
+@example(5, 5, 0)
+@example(5, 5, 1)
+@example(10**6, 1, 0)
+@example(1, 3, 2)
+@example(2, 1, -1)
+@example(1, 1, 0)
+def test_coverage_matches_its_min_max_form(n, f1, f2):
+    stats = AbundanceStats()
+    stats.n, stats.f1, stats.f2 = n, f1, f2
+    # repr tells -0.0 from 0.0
+    assert repr(coverage(stats)) == repr(minmax_coverage(n, f1, f2))

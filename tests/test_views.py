@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +139,41 @@ def test_event_is_immutable():
         ev.activity = "B"
 
 
+def test_event_keeps_its_dataclass_contract():
+    # Event has a hand-written __init__; everything else is the dataclass's
+    ev = Event("c", "A", 1)
+    assert ev == Event(case_id="c", activity="A", timestamp=1)
+    assert hash(ev) == hash(Event("c", "A", 1))
+    assert ev != Event("c", "A", 2)
+    assert ev != ("c", "A", 1)
+    assert repr(ev) == "Event(case_id='c', activity='A', timestamp=1)"
+    assert dataclasses.is_dataclass(ev)
+    assert not hasattr(ev, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.case_id = "d"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ev.timestamp
+    assert [f.name for f in dataclasses.fields(Event)] == [
+        "case_id",
+        "activity",
+        "timestamp",
+    ]
+    assert dataclasses.asdict(ev) == {"case_id": "c", "activity": "A", "timestamp": 1}
+    assert dataclasses.replace(ev, timestamp=5) == Event("c", "A", 5)
+    for clone in (
+        pickle.loads(pickle.dumps(ev)),
+        copy.copy(ev),
+        copy.deepcopy(ev),
+    ):
+        assert clone == ev and type(clone) is Event
+    with pytest.raises(TypeError):
+        Event("c", "A")
+    with pytest.raises(TypeError):
+        Event("c", "A", 1, 2)
+    with pytest.raises(TypeError):
+        Event("c", "A", 1, extra=2)
+
+
 class UnguardedView:
     """Reference view: a plain dict of every case, scanned in full."""
 
@@ -204,6 +243,30 @@ def test_guarded_flush_matches_a_full_scan(kind, order, timeout, start, ops):
         assert got == expected
         assert view.open_cases == len(reference.cases)
     assert view.open_cases == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(VIEW_KINDS),
+    timeout=st.integers(1, 60),
+    start=st.integers(-(10**6), 10**6),
+    ops=stream_ops,
+)
+def test_no_case_is_idle_at_or_before_the_idle_bound(kind, timeout, start, ops):
+    # Windower skips flush_cases while an event's time is not past idle_after
+    config = ViewConfig(kind, case_timeout=timeout)
+    view, reference = SpeciesView(config), UnguardedView(config)
+    now = start
+    for step, op in ops:
+        now += step
+        if op is not None:
+            event = Event(op[0], op[1], now)
+            view.extract(event)
+            reference.extract(event)
+        if now <= view.idle_after:
+            assert all(seen + timeout >= now for seen, _ in reference.cases.values())
+        view.flush_cases(now)
+        reference.flush_cases(now)
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coverwin import (
     AdaptiveWindow,
@@ -25,7 +25,14 @@ from coverwin import (
 )
 from coverwin.baselines import COUNT_TUMBLING, LANDMARK, TIME_TUMBLING
 from coverwin.views import ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT
-from coverwin.window import CT_CEILING, SF_CEILING, SF_FLOOR
+from coverwin.window import (
+    CT_CEILING,
+    SF_CEILING,
+    SF_DECAY,
+    SF_FLOOR,
+    SF_GROWTH,
+    _next_threshold,
+)
 
 from conftest import adaptive_run, batch_reference_run, make_events
 
@@ -110,6 +117,92 @@ def test_stagnation_decays_threshold_toward_floor():
         state = update_threshold(history, state)
     # flat low curve: ct is pulled to the floor and pinned there
     assert math.isclose(state.ct, 0.5, abs_tol=1e-9)
+
+
+# --- clamps as comparisons -----------------------------------------------------
+#
+# The engine and the batch oracle share _next_threshold, so their agreement
+# cannot catch a change in it; it is pinned to its min/max form instead.
+
+
+def minmax_next_threshold(ct, sf, dr, mt, c_optimal, stagnant):
+    if stagnant:
+        sf = min(SF_GROWTH * sf, SF_CEILING)
+        ct_temp = max(ct - dr, mt)
+    else:
+        sf = max(SF_DECAY * sf, SF_FLOOR)
+        ct_temp = ct
+    ct = sf * c_optimal + (1.0 - sf) * ct_temp
+    return min(max(ct, mt), CT_CEILING), sf
+
+
+def near(x, k=2):
+    """``x`` and its ``k`` nearest floats on either side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return sorted(set(below + above))
+
+
+# sf inputs whose update lands just below, on and just above each sf clamp
+SF_GROWTH_TIE = SF_CEILING / SF_GROWTH
+SF_DECAY_TIE = SF_FLOOR / SF_DECAY
+SF_EDGES = near(SF_GROWTH_TIE) + near(SF_DECAY_TIE)
+MT_EDGES = [0.5, 0.25, SF_FLOOR, *near(CT_CEILING)]
+
+
+def test_edge_inputs_straddle_every_sf_clamp():
+    assert SF_GROWTH * SF_GROWTH_TIE == SF_CEILING
+    assert SF_DECAY * SF_DECAY_TIE == SF_FLOOR
+    for bound, factor in ((SF_CEILING, SF_GROWTH), (SF_FLOOR, SF_DECAY)):
+        products = {factor * sf for sf in SF_EDGES}
+        assert bound in products
+        assert any(p < bound for p in products)
+        assert any(p > bound for p in products)
+
+
+@st.composite
+def threshold_steps(draw):
+    anything = st.floats()
+    mt = draw(st.one_of(st.sampled_from(MT_EDGES), st.floats(1e-6, CT_CEILING)))
+    dr = draw(st.one_of(st.sampled_from([0.1, 0.25]), st.floats(1e-6, 1.0)))
+    # ct on and around the floor, the ceiling and the decay's landing on mt
+    ct = draw(
+        st.one_of(
+            st.sampled_from(near(mt) + near(CT_CEILING) + near(mt + dr)),
+            st.floats(0.0, 1.0),
+            anything,
+        )
+    )
+    sf = draw(
+        st.one_of(
+            st.sampled_from(SF_EDGES + [0.2, 0.5]),
+            st.floats(SF_FLOOR, SF_CEILING),
+            anything,
+        )
+    )
+    # the blend lands exactly on a bound when both of its ends sit there
+    c_optimal = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, mt, ct, *near(mt), *near(CT_CEILING)]),
+            st.floats(0.0, 1.0),
+            anything,
+        )
+    )
+    return ct, sf, dr, mt, c_optimal, draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(threshold_steps())
+@example((0.6, 0.2, 0.1, 0.5, 0.5, True))  # ct - dr ties mt
+@example((0.5, 0.625, 0.1, 0.5, 0.5, False))  # blend ties mt
+@example((CT_CEILING, 0.5, 0.1, 0.5, CT_CEILING, False))  # blend ties ceiling
+@example((0.9, SF_GROWTH_TIE, 0.1, 0.5, 0.7, True))  # sf growth ties its ceiling
+@example((0.9, SF_DECAY_TIE, 0.1, 0.5, 0.7, False))  # sf decay ties its floor
+def test_next_threshold_matches_its_min_max_form(step):
+    # repr tells -0.0 from 0.0 and matches NaN with NaN
+    assert repr(_next_threshold(*step)) == repr(minmax_next_threshold(*step))
 
 
 # --- incremental equivalence -------------------------------------------------

@@ -44,7 +44,7 @@ from .stream_io import (
     write_events_jsonl,
     write_metrics_csv,
 )
-from .views import VIEW_KINDS, SpeciesView, ViewConfig
+from .views import VIEW_KINDS, Event, SpeciesView, ViewConfig
 from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
 
 SIZES_HEADER = ("index", "size", "first_ts", "last_ts", "coverage", "threshold")
@@ -135,11 +135,13 @@ def _add_view_flags(p: argparse.ArgumentParser) -> None:
         default="activity_ngram",
         help="species definition",
     )
-    p.add_argument("--ngram", type=int, default=1, help="n-gram order (1..5)")
+    p.add_argument(
+        "--ngram", type=int, default=ViewConfig.ngram_order, help="n-gram order (1..5)"
+    )
     p.add_argument(
         "--case-timeout",
         type=int,
-        default=30 * 60 * 1000,
+        default=ViewConfig.case_timeout,
         help="ms of stream-time inactivity after which a case is complete",
     )
 
@@ -153,27 +155,31 @@ def _add_strategy_flags(
         default=default_strategy,
         help="windowing strategy",
     )
-    p.add_argument("--ct0", type=float, default=0.9, help="initial closing threshold")
-    p.add_argument("--sf0", type=float, default=0.2, help="initial smoothing factor")
-    p.add_argument("--dr", type=float, default=0.1, help="threshold decay on stagnation")
-    p.add_argument("--mt", type=float, default=0.5, help="threshold floor")
+    t = ThresholdState
+    p.add_argument("--ct0", type=float, default=t.ct, help="initial closing threshold")
+    p.add_argument("--sf0", type=float, default=t.sf, help="initial smoothing factor")
     p.add_argument(
-        "--delta", type=float, default=0.01, help="stagnation tolerance on deltas"
+        "--dr", type=float, default=t.dr, help="threshold decay on stagnation"
+    )
+    p.add_argument("--mt", type=float, default=t.mt, help="threshold floor")
+    p.add_argument(
+        "--delta", type=float, default=t.delta, help="stagnation tolerance on deltas"
     )
     p.add_argument(
         "--stagnation-window",
         type=int,
-        default=5,
+        default=t.w,
         help="trailing coverage points the stagnation check inspects",
     )
     p.add_argument(
         "--min-window-size", type=int, default=5, help="smallest adaptive window"
     )
+    b = BaselineConfig
     p.add_argument(
-        "--count", type=int, default=20, help="events per count_tumbling window"
+        "--count", type=int, default=b.count, help="events per count_tumbling window"
     )
     p.add_argument(
-        "--duration", type=int, default=60_000, help="ms per time_tumbling window"
+        "--duration", type=int, default=b.duration, help="ms per time_tumbling window"
     )
     p.add_argument(
         "--landmark-activity", default="A", help="activity that opens a landmark window"
@@ -282,6 +288,22 @@ class _RecordWriter:
             self._sizes = csv.writer(self._sizes_fp)
             self._sizes.writerow(SIZES_HEADER)
 
+    def sink(self, strategy: Windower) -> Callable[[Event], None]:
+        """The callback for ``replay`` or the server: window, emit what closes."""
+
+        def process(event: Event) -> None:
+            record = strategy.process_event(event)
+            if record is not None:
+                self.emit(record)
+
+        return process
+
+    def flush(self, strategy: Windower) -> None:
+        """Emit the window still open at the end of the stream."""
+        final = strategy.flush(None)
+        if final is not None:
+            self.emit(final)
+
     def emit(self, record: WindowRecord) -> None:
         size = record.size
         self.windows += 1
@@ -341,13 +363,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     replay_stats = replay(source, sink)
     for species in view.flush_cases(None):
         stats.observe(species)
-    est = estimates(stats)
-    print(
-        f"n={stats.n} species={stats.s_n} f1={stats.f1} f2={stats.f2} "
-        f"chao1={_fmt(est.chao1)} completeness={_fmt(est.completeness)} "
-        f"coverage={_fmt(est.coverage)} events={replay_stats.delivered} "
-        f"dropped={replay_stats.dropped}"
-    )
+    counts = _line(n=stats.n, species=stats.s_n, f1=stats.f1, f2=stats.f2)
+    totals = _line(events=replay_stats.delivered, dropped=replay_stats.dropped)
+    print(counts, _line(**asdict(estimates(stats))), totals)
     return 0
 
 
@@ -355,17 +373,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     source = _make_source(args)
     strategy = _make_strategy(args)
     writer = _RecordWriter(args, verbose=args.verbose)
-
-    def sink(event) -> None:
-        record = strategy.process_event(event)
-        if record is not None:
-            writer.emit(record)
-
     try:
-        replay_stats = replay(source, sink)
-        final = strategy.flush(None)
-        if final is not None:
-            writer.emit(final)
+        replay_stats = replay(source, writer.sink(strategy))
+        writer.flush(strategy)
     finally:
         writer.close()
     writer.print_summary(replay_stats.delivered, replay_stats.dropped)
@@ -388,18 +398,16 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
         print(f"driftgen: bad spec: {exc}", file=sys.stderr)
         return 2
     events, annotations = driftgen.generate(spec)
-    if args.out_format == "csv" or (
-        args.out_format == "auto" and args.out.lower().endswith(".csv")
-    ):
+    if _source_kind(args.out, args.out_format) == FILE_CSV:
         write_events_csv(events, args.out)
     else:
         write_events_jsonl(events, args.out)
     annotations_path = args.annotations or args.out + ".annotations.json"
     driftgen.write_annotations(annotations, annotations_path)
     print(
-        f"events={len(events)} cases={spec.total_cases} kind={spec.kind} "
-        f"seed={spec.seed} drift_case_indices={list(annotations.drift_case_indices)} "
-        f"out={args.out} annotations={annotations_path}"
+        _line(events=len(events), cases=spec.total_cases, kind=spec.kind),
+        _line(seed=spec.seed, drift_case_indices=list(annotations.drift_case_indices)),
+        _line(out=args.out, annotations=annotations_path),
     )
     return 0
 
@@ -503,15 +511,9 @@ def cmd_listen(
 ) -> int:
     strategy = _make_strategy(args)
     writer = _RecordWriter(args, verbose=not args.quiet, live=True)
-
-    def on_event(event) -> None:
-        record = strategy.process_event(event)
-        if record is not None:
-            writer.emit(record)
-
     try:
         server = StreamServer(
-            on_event,
+            writer.sink(strategy),
             host=args.host,
             port=args.port,
             strict_order=not args.lenient,
@@ -530,9 +532,7 @@ def cmd_listen(
         stop_event.wait()
     finally:
         stats = server.stop()
-        final = strategy.flush(None)
-        if final is not None:
-            writer.emit(final)
+        writer.flush(strategy)
         writer.close()
     writer.print_summary(stats.delivered, stats.dropped)
     return 0

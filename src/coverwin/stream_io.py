@@ -4,7 +4,8 @@ Inputs: JSON-lines or CSV event files replayed in file order, or a
 line-delimited TCP listener.  All paths funnel into a single ordered
 pipeline; timestamps must be non-decreasing.  In strict mode a timestamp
 regression is an error, in lenient mode the offending event is dropped
-and counted.
+and counted.  The TCP listener has no queue, so TCP slows a sender that
+outruns windowing.
 
 Outputs: window records as JSON lines, metric series as CSV.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import queue
 import socketserver
 import threading
 import time
@@ -237,8 +237,6 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
 
 # --- TCP listener ---------------------------------------------------------
 
-_STOP = object()
-
 
 class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
@@ -281,16 +279,16 @@ class _StreamHandler(socketserver.StreamRequestHandler):
                 try:
                     batch.append(parse_event(line, "jsonl"))
                 except ParseError as exc:
-                    # queue the events before a bad line ahead of its reply
-                    self._enqueue(owner, batch)
+                    # window the events before a bad line ahead of its reply
+                    self._submit(owner, batch)
                     batch = []
                     owner._note_parse_error()
                     self._reply(f"ERR {exc.code}: {exc}")
-            self._enqueue(owner, batch)
+            self._submit(owner, batch)
 
-    def _enqueue(self, owner: "StreamServer", batch: list[Event]) -> None:
+    def _submit(self, owner: "StreamServer", batch: list[Event]) -> None:
         if batch:
-            rejected = owner._enqueue_many(batch)
+            rejected = owner._deliver(batch)
             if owner.strict_order:
                 for _ in range(rejected):
                     self._reply("ERR out_of_order: timestamp went backwards")
@@ -315,14 +313,14 @@ class StreamServer:
 
     Each connection sends one JSON event per line.  Bad lines are
     answered with ``ERR <code>: <detail>`` and the connection stays up;
-    a connection's replies come in the order of its lines.  The events
-    parsed from one read of a connection enter a single queue as one
-    item, in arrival order; a single consumer thread calls ``on_event``
-    once per event, so downstream state needs no locking.  Timestamp
-    regressions are rejected at the door: silently counted in lenient
-    mode, answered with an ERR line in strict mode.  The server never
-    crashes on a bad or out-of-order line.  Events that arrive after
-    ``stop`` are counted as received and dropped.
+    a connection's replies come in the order of its lines.  Its handler
+    thread calls ``on_event`` for the events of each read, under one lock
+    for all connections, before it reads again: events are windowed in
+    arrival order, downstream state needs no locking, and TCP slows a fast
+    sender.  Timestamp regressions are rejected at the door: silently
+    counted in lenient mode, answered with an ERR line in strict mode.
+    The server never crashes on a bad or out-of-order line.  Events that
+    arrive after ``stop`` are counted as received and dropped.
     """
 
     def __init__(
@@ -338,14 +336,11 @@ class StreamServer:
         self._lock = threading.Lock()
         self._last_ts: int | None = None
         self._closed = False
-        self._queue: queue.Queue = queue.Queue()
         self._server = _TcpServer((host, port), _StreamHandler)
         self._server.owner = self
         self._serve_thread = threading.Thread(
             target=self._server.serve_forever, daemon=True
         )
-        self._consume_thread = threading.Thread(target=self._consume, daemon=True)
-        self._started = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -355,41 +350,36 @@ class StreamServer:
 
     def start(self) -> None:
         self._serve_thread.start()
-        self._consume_thread.start()
-        self._started = True
 
     def stop(self) -> ServerStats:
-        """Stop accepting, drain the queue, and return final counters.
+        """Stop accepting and return final counters.
 
-        Returns only after the consumer has delivered every queued event,
-        so the caller may touch the pipeline's state afterwards.
+        Every event accepted before this returns has been windowed, so the
+        caller may touch the pipeline's state afterwards.
         """
         # shutdown() waits for serve_forever to end, which never began
         # unless start() ran
-        if self._started:
+        if self._serve_thread.ident is not None:
             self._server.shutdown()
             self._serve_thread.join()
         self._server.server_close()
-        # handler threads outlive server_close; whatever they enqueue from
-        # here on is dropped, never left behind _STOP
+        # handler threads outlive server_close; a handler windows a batch
+        # inside the lock, so none is midway here, and later ones are dropped
         with self._lock:
             self._closed = True
-            self._queue.put(_STOP)
-        if self._started:
-            self._consume_thread.join()
         return self.stats
 
     def _note_parse_error(self) -> None:
         with self._lock:
             self.stats.parse_errors += 1
 
-    def _enqueue_many(self, batch: list[Event]) -> int:
-        """Queue the in-order events of ``batch`` as one item.
+    def _deliver(self, batch: list[Event]) -> int:
+        """Window the in-order events of ``batch`` through ``on_event``.
 
         Returns how many were rejected for going back in time.
         """
-        # the order check and the queue position must be one atomic step,
-        # otherwise two connections could interleave inconsistently
+        # the order check, the on_event calls and the counters are one atomic
+        # step, otherwise two connections could interleave inconsistently
         with self._lock:
             self.stats.received += len(batch)
             if self._closed:
@@ -404,19 +394,10 @@ class StreamServer:
             self._last_ts = last
             rejected = len(batch) - len(kept)
             self.stats.dropped += rejected
-            if kept:
-                self._queue.put(kept)
+            for event in kept:
+                self.on_event(event)
+                self.stats.delivered += 1
             return rejected
-
-    def _consume(self) -> None:
-        on_event, stats = self.on_event, self.stats
-        while True:
-            batch = self._queue.get()
-            if batch is _STOP:
-                return
-            for event in batch:
-                on_event(event)
-                stats.delivered += 1
 
 
 # --- serialization --------------------------------------------------------

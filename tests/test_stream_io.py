@@ -26,6 +26,7 @@ from coverwin import (
 from coverwin.stream_io import (
     FILE_CSV,
     FILE_JSONL,
+    _READ_SIZE,
     ServerStats,
     _make_event,
     _split_reads,
@@ -618,7 +619,15 @@ def test_server_joins_split_lines_and_takes_an_unterminated_last_line():
 )
 def test_server_concurrent_clients_lose_nothing(clients, strict_order, chunk_size):
     got = []
-    server = StreamServer(got.append, port=0, strict_order=strict_order)
+    # events received but neither delivered nor dropped, at each delivery
+    backlogs = []
+
+    def on_event(event):
+        stats = server.stats
+        backlogs.append(stats.received - stats.delivered - stats.dropped)
+        got.append(event)
+
+    server = StreamServer(on_event, port=0, strict_order=strict_order)
     server.start()
     replies = {}
 
@@ -648,6 +657,9 @@ def test_server_concurrent_clients_lose_nothing(clients, strict_order, chunk_siz
     assert stats.received == sum(len(stamps) for stamps in clients)
     assert stats.received == stats.delivered + stats.dropped
     assert len(got) == stats.delivered
+    # only the batch in hand, the one event being delivered at least, is
+    # outstanding; it came from one connection's read
+    assert all(1 <= b <= max(map(len, clients)) for b in backlogs)
     assert stats.parse_errors == len(clients)
     stamps = [ev.timestamp for ev in got]
     assert stamps == sorted(stamps)
@@ -662,14 +674,136 @@ def test_events_enqueued_after_stop_are_counted_as_dropped():
     got = []
     server = StreamServer(got.append, port=0)
     server.start()
-    assert server._enqueue_many([Event("c", "A", 1)]) == 0
+    assert server._deliver([Event("c", "A", 1)]) == 0
     server.stop()
     # a handler thread can still hand over a batch after stop()
-    assert server._enqueue_many([Event("c", "B", 2), Event("c", "C", 3)]) == 0
+    assert server._deliver([Event("c", "B", 2), Event("c", "C", 3)]) == 0
     stats = server.stats
     assert got == [Event("c", "A", 1)]
     assert stats.received == stats.delivered + stats.dropped
     assert (stats.received, stats.delivered, stats.dropped) == (3, 1, 2)
+
+
+def test_a_sender_that_outruns_windowing_is_held_back_by_tcp():
+    entered, release = threading.Event(), threading.Event()
+    got = []
+
+    def on_event(event):
+        entered.set()
+        release.wait(30.0)
+        got.append(event)
+
+    line = event_line("c", "A" * 40, 10**12)
+    per_read = _READ_SIZE // len(line) + 1
+    cap = 4 << 20  # over ten times what the socket buffers held when blocked
+    server = StreamServer(on_event, port=0)
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            # a fixed send buffer keeps the kernel from growing it
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+            sock.setblocking(False)
+            data = line * 2048
+            sent = 0
+            blocked_since = None
+            while sent < cap:
+                try:
+                    # go on from the middle of a line a short send cut
+                    sent += sock.send(data[sent % len(line) :])
+                    blocked_since = None
+                except BlockingIOError:
+                    now = time.monotonic()
+                    if blocked_since is None:
+                        blocked_since = now
+                    elif now - blocked_since > 0.3 and entered.is_set():
+                        break
+                    time.sleep(0.01)
+            held = server.stats.received
+            release.set()
+            # finish the line in flight, then let the server drain the socket
+            sock.settimeout(10.0)
+            sock.sendall(line[len(line) - (-sent % len(line)) :])
+            sock.shutdown(socket.SHUT_WR)
+            replies = b""
+            while more := sock.recv(65536):
+                replies += more
+    finally:
+        release.set()
+        stats = server.stop()
+    assert sent < cap, "the sender was never held back"
+    assert 1 <= held <= per_read
+    sent_events = -(-sent // len(line))
+    assert replies == b""
+    assert len(got) == stats.delivered == stats.received == sent_events
+    assert stats.received == stats.delivered + stats.dropped
+
+
+def test_stop_waits_for_the_event_being_windowed():
+    entered, release, windowed = threading.Event(), threading.Event(), threading.Event()
+    got = []
+
+    def on_event(event):
+        entered.set()
+        release.wait(10.0)
+        got.append(event)
+        windowed.set()
+
+    server = StreamServer(on_event, port=0)
+    server.start()
+    seen_at_stop = []
+
+    def stop():
+        server.stop()
+        seen_at_stop.append(windowed.is_set())
+
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(event_line("c", "A", 1))
+        assert entered.wait(5.0)
+        stopper = threading.Thread(target=stop)
+        stopper.start()
+        # longer than serve_forever's 0.5 s poll, which delays any stop()
+        stopper.join(1.0)
+        release.set()
+        stopper.join(5.0)
+    assert seen_at_stop == [True]
+    assert got == [Event("c", "A", 1)]
+    assert server.stats == ServerStats(
+        received=1, delivered=1, dropped=0, parse_errors=0
+    )
+
+
+def test_on_event_calls_never_overlap():
+    entered, release = threading.Event(), threading.Event()
+    running, overlaps, got = [], [], []
+
+    def on_event(event):
+        overlaps.append(len(running))
+        running.append(event)
+        entered.set()
+        release.wait(10.0)
+        got.append(running.pop())
+
+    server = StreamServer(on_event, port=0)
+    server.start()
+    try:
+        first = socket.create_connection(server.address, timeout=5.0)
+        second = socket.create_connection(server.address, timeout=5.0)
+        first.sendall(event_line("a", "A", 1))
+        assert entered.wait(5.0)
+        second.sendall(event_line("b", "B", 2))
+        time.sleep(0.3)  # time for the second handler to reach on_event
+        release.set()
+        deadline = time.monotonic() + 5.0
+        while len(got) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        first.close()
+        second.close()
+    finally:
+        release.set()
+        stats = server.stop()
+    assert overlaps == [0, 0]
+    assert got == [Event("a", "A", 1), Event("b", "B", 2)]
+    assert stats.delivered == 2
 
 
 def test_stop_without_start_returns():

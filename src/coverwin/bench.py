@@ -24,7 +24,7 @@ from .stream_io import SourceConfig, replay
 def run_stream(events: Iterable[Event], strategy: Windower) -> list[WindowRecord]:
     """Feed every event, then flush; returns all closed windows."""
     records = [r for e in events if (r := strategy.process_event(e)) is not None]
-    final = strategy.flush(None)
+    final = strategy.flush()
     if final is not None:
         records.append(final)
     return records
@@ -254,11 +254,9 @@ class LatencyRow:
         return cls(window_size, median(times), p95, min(times))
 
 
-def _synthetic_events(count: int, alphabet_size: int, cases: int = 5) -> list[Event]:
-    return [
-        Event(f"c{i % cases}", f"a{i % alphabet_size}", (i + 1) * 100)
-        for i in range(count)
-    ]
+def _synthetic_events(count: int) -> list[Event]:
+    """``count`` events cycling through 10 activities and 5 cases."""
+    return [Event(f"c{i % 5}", f"a{i % 10}", (i + 1) * 100) for i in range(count)]
 
 
 def _time_one_window(events: Sequence[Event]) -> float:
@@ -272,15 +270,11 @@ def _time_one_window(events: Sequence[Event]) -> float:
         if record is not None:
             break
     if record is None:
-        window.flush(None)
+        window.flush()
     return time.perf_counter() - start
 
 
-def measure_latency(
-    sizes: Sequence[int],
-    trials: int = 7,
-    alphabet_size: int = 10,
-) -> list[LatencyRow]:
+def measure_latency(sizes: Sequence[int], trials: int = 7) -> list[LatencyRow]:
     """Wall time from first event to window emission, per target size.
 
     Each sample drives a fresh adaptive pipeline whose minimum window
@@ -293,7 +287,7 @@ def measure_latency(
     """
     if trials < 1 or not sizes:
         raise ValueError("need at least one trial and one window size")
-    streams = [_synthetic_events(n, alphabet_size) for n in sizes]
+    streams = [_synthetic_events(n) for n in sizes]
     samples: list[list[float]] = [[] for _ in sizes]
     for _ in range(trials):
         for events, out in zip(streams, samples):
@@ -344,7 +338,7 @@ def measure_throughput(
     for _ in range(runs):
         strategy = strategy_factory()
         stats = replay(source, strategy.process_event)
-        strategy.flush(None)
+        strategy.flush()
         events = stats.delivered
         rates.append(stats.events_per_sec)
     return ThroughputReport(events=events, runs=tuple(rates))

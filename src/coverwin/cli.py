@@ -34,6 +34,7 @@ from .baselines import (
 from .stream_io import (
     FILE_CSV,
     FILE_JSONL,
+    SOURCE_KINDS,
     OrderingError,
     ParseError,
     SourceConfig,
@@ -111,7 +112,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="event log (.jsonl or .csv)")
     p.add_argument(
         "--format",
-        choices=("auto", "jsonl", "csv"),
+        choices=("auto", *SOURCE_KINDS),
         default="auto",
         help="input format; auto picks by file extension",
     )
@@ -146,13 +147,21 @@ def _add_view_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_strategy_flags(
-    p: argparse.ArgumentParser, default_strategy: str = "adaptive"
-) -> None:
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--scenario",
+        choices=driftgen.SCENARIO_NAMES,
+        default="sudden",
+        help="built-in scenario",
+    )
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+
+
+def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--strategy",
         choices=("adaptive",) + BASELINE_KINDS,
-        default=default_strategy,
+        default="adaptive",
         help="windowing strategy",
     )
     t = ThresholdState
@@ -211,9 +220,9 @@ def _add_output_flags(p: argparse.ArgumentParser, verbose_flag: bool = True) -> 
 
 
 def _source_kind(path: str, fmt: str) -> str:
-    if fmt == "csv" or (fmt == "auto" and path.lower().endswith(".csv")):
-        return FILE_CSV
-    return FILE_JSONL
+    if fmt == "auto":
+        return FILE_CSV if path.lower().endswith(".csv") else FILE_JSONL
+    return fmt
 
 
 def _make_source(args: argparse.Namespace) -> SourceConfig:
@@ -300,7 +309,7 @@ class _RecordWriter:
 
     def flush(self, strategy: Windower) -> None:
         """Emit the window still open at the end of the stream."""
-        final = strategy.flush(None)
+        final = strategy.flush()
         if final is not None:
             self.emit(final)
 
@@ -349,6 +358,17 @@ class _RecordWriter:
 # --- subcommands ------------------------------------------------------------
 
 
+def _generate(args: argparse.Namespace) -> tuple:
+    """Spec, events, annotations of ``--scenario`` or ``--spec``; ``--seed`` reseeds."""
+    if args.scenario:
+        spec = driftgen.builtin_scenario(args.scenario)
+    else:
+        spec = driftgen.spec_from_json(args.spec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    return (spec, *driftgen.generate(spec))
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     source = _make_source(args)
     view = _make_view(args)
@@ -387,17 +407,10 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
         print("driftgen: give exactly one of --scenario or --spec", file=sys.stderr)
         return 2
     try:
-        spec = (
-            driftgen.builtin_scenario(args.scenario)
-            if args.scenario
-            else driftgen.spec_from_json(args.spec)
-        )
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+        spec, events, annotations = _generate(args)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"driftgen: bad spec: {exc}", file=sys.stderr)
         return 2
-    events, annotations = driftgen.generate(spec)
     if _source_kind(args.out, args.out_format) == FILE_CSV:
         write_events_csv(events, args.out)
     else:
@@ -412,12 +425,7 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generate_scenario(args: argparse.Namespace) -> tuple:
-    """Spec, events and annotations of ``--scenario``, reseeded by ``--seed``."""
-    spec = driftgen.builtin_scenario(args.scenario)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    return (spec, *driftgen.generate(spec))
+
 
 
 def cmd_bench_latency(args: argparse.Namespace) -> int:
@@ -465,7 +473,7 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
 def cmd_bench_drift(args: argparse.Namespace) -> int:
     from . import bench
 
-    _, events, annotations = _generate_scenario(args)
+    _, events, annotations = _generate(args)
     records = bench.run_stream(events, _make_strategy(args))
     series = bench.size_series(records, annotations.drift_case_indices[:1])
     report = bench.drift_adaptation_stats(
@@ -485,7 +493,7 @@ def cmd_bench_drift(args: argparse.Namespace) -> int:
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     from . import bench
 
-    spec, events, annotations = _generate_scenario(args)
+    spec, events, annotations = _generate(args)
     factories: dict[str, Callable[[], Windower]] = {
         name: partial(
             _make_strategy, argparse.Namespace(**{**vars(args), "strategy": name})
@@ -590,7 +598,7 @@ def build_parsers() -> tuple[
     p.add_argument("--out", required=True, metavar="FILE", help="output event log")
     p.add_argument(
         "--out-format",
-        choices=("auto", "jsonl", "csv"),
+        choices=("auto", *SOURCE_KINDS),
         default="auto",
         help="output format; auto picks by extension",
     )
@@ -639,13 +647,7 @@ def build_parsers() -> tuple[
         "drift", help="window-size reaction around a drift", formatter_class=fmt
     )
     _add_config_flag(b)
-    b.add_argument(
-        "--scenario",
-        choices=driftgen.SCENARIO_NAMES,
-        default="sudden",
-        help="built-in scenario",
-    )
-    b.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    _add_scenario_flags(b)
     b.add_argument("--before", type=int, default=10, help="windows before the drift")
     b.add_argument("--after", type=int, default=20, help="windows after the drift")
     _add_view_flags(b)
@@ -665,13 +667,7 @@ def build_parsers() -> tuple[
         formatter_class=fmt,
     )
     _add_config_flag(b)
-    b.add_argument(
-        "--scenario",
-        choices=driftgen.SCENARIO_NAMES,
-        default="sudden",
-        help="built-in scenario",
-    )
-    b.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    _add_scenario_flags(b)
     _add_view_flags(b)
     b.set_defaults(view="directly_follows")
     _add_strategy_flags(b)
@@ -786,10 +782,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, OrderingError) as exc:
         print(f"coverwin: input error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"coverwin: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"coverwin: {exc}", file=sys.stderr)
         return 1
 

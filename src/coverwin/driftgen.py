@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .views import SEPARATOR, Event
 
@@ -237,28 +237,17 @@ def generate(spec: DriftSpec) -> tuple[list[Event], DriftAnnotations]:
 
 
 def write_annotations(annotations: DriftAnnotations, path: str) -> None:
-    payload = {
-        "kind": annotations.kind,
-        "seed": annotations.seed,
-        "total_cases": annotations.total_cases,
-        "drift_case_indices": list(annotations.drift_case_indices),
-        "pool_per_case": list(annotations.pool_per_case),
-    }
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp)
+        json.dump(asdict(annotations), fp)
         fp.write("\n")
 
 
 def read_annotations(path: str) -> DriftAnnotations:
     with open(path, encoding="utf-8") as fp:
         obj = json.load(fp)
-    return DriftAnnotations(
-        kind=obj["kind"],
-        seed=obj["seed"],
-        total_cases=obj["total_cases"],
-        drift_case_indices=tuple(obj["drift_case_indices"]),
-        pool_per_case=tuple(obj["pool_per_case"]),
-    )
+    for key in ("drift_case_indices", "pool_per_case"):
+        obj[key] = tuple(obj[key])
+    return DriftAnnotations(**obj)
 
 
 def spec_from_json(path: str) -> DriftSpec:
@@ -284,15 +273,10 @@ def spec_from_json(path: str) -> DriftSpec:
                 inter_case_gap=int(pool_obj.get("inter_case_gap", 1000)),
             )
         )
-    kwargs = {}
-    if "drift_position" in obj:
-        kwargs["drift_position"] = float(obj["drift_position"])
+    casts = {"drift_position": float, "season_length": int, "increments": int}
+    kwargs = {key: cast(obj[key]) for key, cast in casts.items() if key in obj}
     if "ramp_interval" in obj:
         kwargs["ramp_interval"] = tuple(float(x) for x in obj["ramp_interval"])
-    if "season_length" in obj:
-        kwargs["season_length"] = int(obj["season_length"])
-    if "increments" in obj:
-        kwargs["increments"] = int(obj["increments"])
     return DriftSpec(
         kind=obj["kind"],
         pools=tuple(pools),

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .views import SEPARATOR, Event
 from .window import WindowRecord
 
-FILE_JSONL = "file_jsonl"
-FILE_CSV = "file_csv"
+FILE_JSONL = "jsonl"
+FILE_CSV = "csv"
 SOURCE_KINDS = (FILE_JSONL, FILE_CSV)
 
 CSV_HEADER = ("case_id", "activity", "timestamp")
@@ -190,12 +190,12 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     regression; lenient ordering drops and counts regressing events.
     Blank lines are skipped; the CSV header row is required.
     """
-    fmt = "csv" if source.kind == FILE_CSV else "jsonl"
+    fmt = source.kind
     stats = ReplayStats()
     last_ts: int | None = None
     first_ts: int | None = None
     wall_start = time.perf_counter()
-    header_seen = fmt != "csv"
+    header_seen = fmt != FILE_CSV
     with open(source.path, encoding="utf-8", newline="") as fp:
         for line_no, line in enumerate(fp, start=1):
             if not line.strip():
@@ -245,35 +245,62 @@ class _TcpServer(socketserver.ThreadingTCPServer):
 
 
 _READ_SIZE = 65536
+# longest line the listener takes, in bytes before its newline
+_MAX_LINE = 1 << 20
 
 
-def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str]]:
+def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
     """The non-blank lines of a byte stream, one list per read that ends a line.
 
     Each line is decoded as UTF-8 with bad bytes replaced and stripped,
     as iterating the stream line by line would give it.  A line split
     across reads is kept as fragments and joined once when its newline
-    arrives; a last line without a newline comes alone at EOF.
+    arrives; a last line without a newline comes alone at EOF.  A line
+    longer than ``_MAX_LINE`` bytes comes as one None as soon as a read
+    takes it past the cap, and its bytes are skipped through its newline.
     """
     pending: list[bytes] = []
+    held = 0  # bytes of the unfinished line; -1 while skipping a refused one
     while chunk := read(_READ_SIZE):
         cut = chunk.rfind(b"\n") + 1
+        # a line inside one read is shorter than the cap; only one begun
+        # in an earlier read can outgrow it
+        if held:
+            end = chunk.find(b"\n") if cut else len(chunk)
+            if held < 0 or held + end > _MAX_LINE:
+                if held > 0:
+                    pending = []
+                    yield None
+                if not cut:
+                    held = -1
+                    continue
+                chunk = chunk[end + 1 :]
+                cut -= end + 1
+                held = 0
         if not cut:
             pending.append(chunk)
+            held += len(chunk)
             continue
         pending.append(chunk[:cut])
         text = b"".join(pending).decode("utf-8", "replace")
         pending = [chunk[cut:]] if cut < len(chunk) else []
+        held = len(chunk) - cut
         yield [line for line in map(str.strip, text.split("\n")) if line]
-    tail = b"".join(pending).decode("utf-8", "replace").strip()
-    if tail:
-        yield [tail]
+    if held > 0:
+        tail = b"".join(pending).decode("utf-8", "replace").strip()
+        if tail:
+            yield [tail]
 
 
 class _StreamHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         owner = self.server.owner  # type: ignore[attr-defined]
         for lines in _split_reads(self.rfile.read1):
+            if lines is None:
+                # every earlier line was windowed when its read was
+                owner._note_parse_error()
+                self._reply(f"ERR line_too_long: line over {_MAX_LINE} bytes")
+                continue
             batch: list[Event] = []
             for line in lines:
                 try:
@@ -311,13 +338,13 @@ class ServerStats:
 class StreamServer:
     """Line-protocol TCP listener feeding one ordered pipeline.
 
-    Each connection sends one JSON event per line.  Bad lines are
-    answered with ``ERR <code>: <detail>`` and the connection stays up;
-    a connection's replies come in the order of its lines.  Its handler
-    thread calls ``on_event`` for the events of each read, under one lock
-    for all connections, before it reads again: events are windowed in
-    arrival order, downstream state needs no locking, and TCP slows a fast
-    sender.  Timestamp regressions are rejected at the door: silently
+    Each connection sends one JSON event per line.  Bad lines, and lines
+    over ``_MAX_LINE`` bytes, are answered with ``ERR <code>: <detail>``
+    and the connection stays up; a connection's replies come in the order
+    of its lines.  Its handler thread calls ``on_event`` for the events of
+    each read, under one lock for all connections, before it reads again:
+    events are windowed in arrival order, downstream state needs no
+    locking, and TCP slows a fast sender.  Timestamp regressions are rejected at the door: silently
     counted in lenient mode, answered with an ERR line in strict mode.
     The server never crashes on a bad or out-of-order line.  Events that
     arrive after ``stop`` are counted as received and dropped.
@@ -376,7 +403,9 @@ class StreamServer:
     def _deliver(self, batch: list[Event]) -> int:
         """Window the in-order events of ``batch`` through ``on_event``.
 
-        Returns how many were rejected for going back in time.
+        Returns how many were rejected for going back in time.  If
+        ``on_event`` raises, its event and the rest of the batch count as
+        dropped, and the exception propagates.
         """
         # the order check, the on_event calls and the counters are one atomic
         # step, otherwise two connections could interleave inconsistently
@@ -393,10 +422,16 @@ class StreamServer:
                     kept.append(event)
             self._last_ts = last
             rejected = len(batch) - len(kept)
-            self.stats.dropped += rejected
-            for event in kept:
-                self.on_event(event)
-                self.stats.delivered += 1
+            stats = self.stats
+            stats.dropped += rejected
+            before = stats.delivered
+            try:
+                for event in kept:
+                    self.on_event(event)
+                    stats.delivered += 1
+            finally:
+                # an on_event that raised leaves its event and the rest undelivered
+                stats.dropped += len(kept) - (stats.delivered - before)
             return rejected
 
 
@@ -417,11 +452,9 @@ def write_events_jsonl(events: Iterable[Event], path: str) -> None:
 
 
 def write_events_csv(events: Iterable[Event], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(CSV_HEADER)
-        for event in events:
-            writer.writerow((event.case_id, event.activity, event.timestamp))
+    write_metrics_csv(
+        path, CSV_HEADER, ((e.case_id, e.activity, e.timestamp) for e in events)
+    )
 
 
 def window_record_to_json(record: WindowRecord) -> str:
@@ -458,21 +491,10 @@ def window_record_to_json(record: WindowRecord) -> str:
 def parse_window_record(line: str) -> WindowRecord:
     """Inverse of window_record_to_json."""
     obj = json.loads(line)
-    events = tuple(
+    obj["events"] = tuple(
         Event(e["case"], e["activity"], e["timestamp"]) for e in obj["events"]
     )
-    return WindowRecord(
-        index=obj["index"],
-        events=events,
-        size=obj["size"],
-        first_ts=obj["first_ts"],
-        last_ts=obj["last_ts"],
-        coverage=obj["coverage"],
-        completeness=obj["completeness"],
-        chao1=obj["chao1"],
-        threshold=obj["threshold"],
-        force_closed=obj["force_closed"],
-    )
+    return WindowRecord(**obj)
 
 
 def write_metrics_csv(
@@ -482,5 +504,4 @@ def write_metrics_csv(
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

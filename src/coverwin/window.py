@@ -206,13 +206,13 @@ class Windower:
             closed = self._close(force=False)
         return closed
 
-    def flush(self, now: int | None = None) -> WindowRecord | None:
-        """Force out the open window, completing idle cases first.
+    def flush(self) -> WindowRecord | None:
+        """Force out the open window at the end of the stream.
 
-        ``now=None`` treats the stream as ended and completes every case.
-        Returns None when no events are buffered.
+        Every open case is completed first.  Returns None when no events
+        are buffered.
         """
-        for species in self.view.flush_cases(now):
+        for species in self.view.flush_cases(None):
             self._stats.observe(species)
         if not self._buffer:
             return None

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from coverwin import DriftSpec, VariantPool, generate
+from coverwin import DriftSpec, VariantPool, cli, generate
 from coverwin.driftgen import (
     GRADUAL,
     INCREMENTAL,
@@ -203,6 +203,16 @@ def test_annotations_round_trip(tmp_path):
     path = str(tmp_path / "ann.json")
     write_annotations(ann, path)
     assert read_annotations(path) == ann
+
+
+def test_sudden_sidecar_bytes_are_pinned(tmp_path):
+    out = str(tmp_path / "sudden.jsonl")
+    assert cli.main(["driftgen", "--scenario", "sudden", "--out", out]) == 0
+    pools = ", ".join(["0"] * 200 + ["1"] * 200)
+    assert (tmp_path / "sudden.jsonl.annotations.json").read_bytes() == (
+        '{"kind": "sudden", "seed": 42, "total_cases": 400, '
+        f'"drift_case_indices": [200], "pool_per_case": [{pools}]}}\n'
+    ).encode()
 
 
 def test_spec_from_json(tmp_path):

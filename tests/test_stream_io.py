@@ -26,6 +26,7 @@ from coverwin import (
 from coverwin.stream_io import (
     FILE_CSV,
     FILE_JSONL,
+    _MAX_LINE,
     _READ_SIZE,
     ServerStats,
     _make_event,
@@ -540,6 +541,36 @@ def test_split_reads_gives_the_lines_of_line_iteration(data, cuts):
     assert got == [line for line in want if line]
 
 
+class SizedReader:
+    """A ``read(n)`` handing over ``data`` in pieces of at most ``size`` bytes."""
+
+    def __init__(self, data, size):
+        self.data, self.size, self.pos = data, size, 0
+
+    def __call__(self, n):
+        chunk = self.data[self.pos : self.pos + min(n, self.size)]
+        self.pos += len(chunk)
+        return chunk
+
+
+@pytest.mark.parametrize("size", [_READ_SIZE, 50_000, 4096])
+@pytest.mark.parametrize("extra", [0, 1, 5 * _READ_SIZE])
+@pytest.mark.parametrize("end", [b"\nb\n", b""])
+def test_split_reads_refuses_a_line_over_the_cap_once(size, extra, end):
+    line = b"x" * (_MAX_LINE + extra)
+    read = SizedReader(b"a\n" + line + end, size)
+    got = []
+    for lines in _split_reads(read):
+        if lines is None:
+            # refused before the reader handed over more than one read past the cap
+            assert read.pos - 2 <= _MAX_LINE + _READ_SIZE
+            got.append(None)
+        else:
+            got.extend(lines)
+    want = ["a", None if extra else line.decode()]
+    assert got == want + (["b"] if end else [])
+
+
 def send_and_close(address, chunks, pause=0.0):
     """Send ``chunks``, half-close, and return the reply lines once the server hangs up."""
     with socket.create_connection(address, timeout=5.0) as sock:
@@ -682,6 +713,60 @@ def test_events_enqueued_after_stop_are_counted_as_dropped():
     assert got == [Event("c", "A", 1)]
     assert stats.received == stats.delivered + stats.dropped
     assert (stats.received, stats.delivered, stats.dropped) == (3, 1, 2)
+
+
+def test_server_answers_a_line_over_the_cap_once_and_goes_on():
+    got = []
+    server = StreamServer(got.append, port=0)
+    server.start()
+    try:
+        with (
+            socket.create_connection(server.address, timeout=10.0) as sock,
+            sock.makefile("rb") as replies,
+        ):
+            sock.sendall(event_line("c", "A", 1) + b"x" * (3 << 20))
+            reply = replies.readline()
+            # the event read before the long line was windowed before the reply
+            assert got == [Event("c", "A", 1)]
+            sock.sendall(b"\n" + event_line("c", "B", 2))
+            sock.shutdown(socket.SHUT_WR)
+            rest = replies.read()
+    finally:
+        stats = server.stop()
+    assert reply.startswith(b"ERR line_too_long: ")
+    assert rest == b""
+    assert got == [Event("c", "A", 1), Event("c", "B", 2)]
+    assert stats == ServerStats(received=2, delivered=2, dropped=0, parse_errors=1)
+
+
+def test_an_on_event_that_raises_drops_the_rest_of_its_read():
+    got = []
+    raised = threading.Event()
+
+    def on_event(event):
+        if event.activity == "B":
+            raised.set()
+            raise RuntimeError("sink failed")
+        got.append(event)
+
+    server = StreamServer(on_event, port=0)
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            one_read = [event_line("c", a, t) for a, t in (("A", 1), ("B", 2), ("C", 3))]
+            sock.sendall(b"".join(one_read))
+            assert raised.wait(5.0)
+            try:
+                sock.sendall(event_line("c", "D", 4))
+            except OSError:
+                pass  # the server may have closed the connection already
+        send_and_close(server.address, [event_line("c", "E", 5)])
+    finally:
+        stats = server.stop()
+    assert [ev.activity for ev in got] == ["A", "E"]
+    # B raised: it and C count as dropped; the connection ended before D
+    assert (stats.received, stats.delivered, stats.dropped) == (4, 2, 2)
+    assert stats.received == stats.delivered + stats.dropped
 
 
 def test_a_sender_that_outruns_windowing_is_held_back_by_tcp():

@@ -20,7 +20,7 @@ from .stream_io import (
     replay,
 )
 from .views import Event, SpeciesView, ViewConfig
-from .window import AdaptiveWindow, ThresholdState, WindowRecord, update_threshold
+from .window import AdaptiveWindow, ThresholdState, WindowRecord
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,5 @@ __all__ = [
     "generate",
     "parse_event",
     "replay",
-    "update_threshold",
     "__version__",
 ]

@@ -124,8 +124,18 @@ def coverage(stats: AbundanceStats) -> float:
 
 def estimates(stats: AbundanceStats) -> Estimates:
     """All three estimators from one state, computed together."""
-    return Estimates(
-        chao1=chao1(stats),
-        completeness=completeness(stats),
-        coverage=coverage(stats),
-    )
+    return Estimates(*_estimate_tuple(stats))
+
+
+def _estimate_tuple(stats: AbundanceStats) -> tuple[float, float, float]:
+    """The values of ``estimates`` as a plain tuple, chao1 evaluated once."""
+    if stats.n == 0:
+        return 0.0, 0.0, 0.0
+    s_n = len(stats.counts)
+    f1 = stats.f1
+    f2 = stats.f2
+    if f2 > 0:
+        c1 = s_n + (f1 * f1) / (2.0 * f2)
+    else:
+        c1 = s_n + (f1 * (f1 - 1)) / 2.0
+    return c1, s_n / c1, coverage(stats)

@@ -12,7 +12,6 @@ over config file over built-in default.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import signal
@@ -20,7 +19,7 @@ import sys
 import threading
 from dataclasses import asdict, astuple, fields, replace
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import driftgen
 from .abundance import AbundanceStats, estimates
@@ -263,8 +262,17 @@ def _make_strategy(args: argparse.Namespace) -> Windower:
     return BaselineWindow(view, config)
 
 
-def _sizes_row(r: WindowRecord) -> tuple:
-    return (r.index, r.size, r.first_ts, r.last_ts, _fmt(r.coverage), _fmt(r.threshold))
+def _sizes_line(r: WindowRecord) -> str:
+    """One sizes-CSV row: ``csv.writer``'s bytes, as ints and ``.6g`` floats
+    never need quoting."""
+    return f"{r.index},{r.size},{r.first_ts},{r.last_ts},{r.coverage:.6g},{r.threshold:.6g}\r\n"
+
+
+def _open_sizes_csv(path: str) -> TextIO:
+    """A sizes CSV opened for writing, its header already written."""
+    fp = open(path, "w", encoding="utf-8", newline="")
+    fp.write(",".join(SIZES_HEADER) + "\r\n")
+    return fp
 
 
 class _RecordWriter:
@@ -291,11 +299,7 @@ class _RecordWriter:
             if args.windows_out
             else None
         )
-        self._sizes_fp = None
-        if args.sizes_csv:
-            self._sizes_fp = open(args.sizes_csv, "w", encoding="utf-8", newline="")
-            self._sizes = csv.writer(self._sizes_fp)
-            self._sizes.writerow(SIZES_HEADER)
+        self._sizes_fp = _open_sizes_csv(args.sizes_csv) if args.sizes_csv else None
 
     def sink(self, strategy: Windower) -> Callable[[Event], None]:
         """The callback for ``replay`` or the server: window, emit what closes."""
@@ -317,14 +321,16 @@ class _RecordWriter:
         size = record.size
         self.windows += 1
         self._size_sum += size
-        self._size_min = min(self._size_min, size)
-        self._size_max = max(self._size_max, size)
+        if size < self._size_min:
+            self._size_min = size
+        if size > self._size_max:
+            self._size_max = size
         self._coverage_sum += record.coverage
         self._forced += record.force_closed
         if self._windows_fp is not None:
             self._windows_fp.write(window_record_to_json(record) + "\n")
         if self._sizes_fp is not None:
-            self._sizes.writerow(_sizes_row(record))
+            self._sizes_fp.write(_sizes_line(record))
         if self.verbose:
             summary = {
                 "index": record.index,
@@ -481,11 +487,8 @@ def cmd_bench_drift(args: argparse.Namespace) -> int:
     )
     print(_line(windows=len(series.sizes), **asdict(report)))
     if args.outdir:
-        write_metrics_csv(
-            _outpath(args.outdir, "window_sizes.csv"),
-            SIZES_HEADER,
-            [_sizes_row(r) for r in records],
-        )
+        with _open_sizes_csv(_outpath(args.outdir, "window_sizes.csv")) as fp:
+            fp.writelines(map(_sizes_line, records))
         _write_table(args.outdir, "drift_report.csv", [report])
     return 0
 

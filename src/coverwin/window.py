@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
-from .abundance import AbundanceStats, coverage as coverage_of
+from .abundance import AbundanceStats, _estimate_tuple, coverage as coverage_of
 from .views import Event, SpeciesView
 
 CT_CEILING = 0.99
@@ -60,16 +59,6 @@ class ThresholdState:
             raise ValueError("w must be at least 2")
 
 
-def _is_stagnant(history: Sequence[float], state: ThresholdState) -> bool:
-    n = len(history)
-    if n < state.w:
-        return False
-    return all(
-        abs(history[k] - history[k + 1]) < state.delta
-        for k in range(n - state.w, n - 1)
-    )
-
-
 def _next_threshold(
     ct: float, sf: float, dr: float, mt: float, c_optimal: float, stagnant: bool
 ) -> tuple[float, float]:
@@ -98,46 +87,16 @@ def _next_threshold(
     return ct, sf
 
 
-def update_threshold(history: Sequence[float], state: ThresholdState) -> ThresholdState:
-    """One threshold adjustment from the open window's coverage curve.
-
-    The curvature r''(i) = C[i-1] - 2 C[i] + C[i+1] is scanned over the
-    interior points; the coverage value just past the strongest elbow
-    (ties resolved to the earliest index) becomes the target the
-    threshold is pulled toward.  If the last ``w`` coverage points moved
-    by less than ``delta`` each, the curve is stagnating: the smoothing
-    factor grows and the threshold additionally decays by ``dr``, so a
-    window can never stay open forever.  The result is clamped to
-    [mt, 0.99].
-    """
-    n = len(history)
-    if n < 3:
-        raise ValueError("threshold update needs at least 3 coverage points")
-    best_i = 1
-    best = history[0] - 2.0 * history[1] + history[2]
-    for i in range(2, n - 1):
-        r2 = history[i - 1] - 2.0 * history[i] + history[i + 1]
-        if r2 > best:
-            best = r2
-            best_i = i
-    ct, sf = _next_threshold(
-        state.ct,
-        state.sf,
-        state.dr,
-        state.mt,
-        history[best_i + 1],
-        _is_stagnant(history, state),
-    )
-    return replace(state, ct=ct, sf=sf)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WindowRecord:
     """One closed window with its final estimates.
 
     ``threshold`` is the closing threshold in force at close time; for
     regular closes ``coverage >= threshold`` holds.  ``force_closed``
     marks windows emitted by an end-of-stream flush.
+
+    The hand-written ``__init__`` fills ``__dict__`` in one update; no
+    slots, so a record stays weakly referenceable on Python 3.10.
     """
 
     index: int
@@ -150,6 +109,32 @@ class WindowRecord:
     chao1: float
     threshold: float
     force_closed: bool = False
+
+    def __init__(
+        self,
+        index: int,
+        events: tuple[Event, ...],
+        size: int,
+        first_ts: int,
+        last_ts: int,
+        coverage: float,
+        completeness: float,
+        chao1: float,
+        threshold: float,
+        force_closed: bool = False,
+    ) -> None:
+        self.__dict__.update(
+            index=index,
+            events=events,
+            size=size,
+            first_ts=first_ts,
+            last_ts=last_ts,
+            coverage=coverage,
+            completeness=completeness,
+            chao1=chao1,
+            threshold=threshold,
+            force_closed=force_closed,
+        )
 
 
 class Windower:
@@ -220,18 +205,18 @@ class Windower:
 
     def _close(self, force: bool) -> WindowRecord:
         events = self._buffer
-        est = self._stats.estimates()
+        chao1, completeness, coverage = _estimate_tuple(self._stats)
         record = WindowRecord(
-            index=self.windows_closed,
-            events=tuple(events),
-            size=len(events),
-            first_ts=events[0].timestamp,
-            last_ts=events[-1].timestamp,
-            coverage=est.coverage,
-            completeness=est.completeness,
-            chao1=est.chao1,
-            threshold=self._threshold,
-            force_closed=force,
+            self.windows_closed,
+            tuple(events),
+            len(events),
+            events[0].timestamp,
+            events[-1].timestamp,
+            coverage,
+            completeness,
+            chao1,
+            self._threshold,
+            force,
         )
         self.windows_closed += 1
         self._buffer = []
@@ -246,8 +231,8 @@ class AdaptiveWindow(Windower):
     least ``min_window_size`` events.  The threshold parameters are read
     from the given ``ThresholdState`` once; only ``ct`` and ``sf`` move
     per event, and they survive window boundaries.  Both pieces of curve
-    evidence are kept in O(1) per event and give the same result as
-    ``update_threshold`` on the full history:
+    evidence are kept in O(1) per event and give the same result as a
+    rescan of the window's whole coverage curve after every event:
 
     - the elbow is a running argmax over the curvature values: curvature
       points are append-only and ties go to the earliest index either

@@ -12,6 +12,7 @@ import json
 import os
 import random
 from collections import Counter
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import pytest
@@ -26,8 +27,8 @@ from coverwin import (
     WindowRecord,
     coverage,
     parse_event,
-    update_threshold,
 )
+from coverwin.window import _next_threshold
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -132,6 +133,49 @@ def worked_example_events() -> list[Event]:
 # full-scan update.  Comparing it against AdaptiveWindow checks that the
 # engine's O(1) running-argmax bookkeeping never diverges from the
 # full rescan.
+
+
+def _is_stagnant(history: Sequence[float], state: ThresholdState) -> bool:
+    n = len(history)
+    if n < state.w:
+        return False
+    return all(
+        abs(history[k] - history[k + 1]) < state.delta
+        for k in range(n - state.w, n - 1)
+    )
+
+
+def update_threshold(history: Sequence[float], state: ThresholdState) -> ThresholdState:
+    """One threshold adjustment from the open window's coverage curve.
+
+    The curvature r''(i) = C[i-1] - 2 C[i] + C[i+1] is scanned over the
+    interior points; the coverage value just past the strongest elbow
+    (ties resolved to the earliest index) becomes the target the
+    threshold is pulled toward.  If the last ``w`` coverage points moved
+    by less than ``delta`` each, the curve is stagnating: the smoothing
+    factor grows and the threshold additionally decays by ``dr``, so a
+    window can never stay open forever.  The result is clamped to
+    [mt, 0.99].
+    """
+    n = len(history)
+    if n < 3:
+        raise ValueError("threshold update needs at least 3 coverage points")
+    best_i = 1
+    best = history[0] - 2.0 * history[1] + history[2]
+    for i in range(2, n - 1):
+        r2 = history[i - 1] - 2.0 * history[i] + history[i + 1]
+        if r2 > best:
+            best = r2
+            best_i = i
+    ct, sf = _next_threshold(
+        state.ct,
+        state.sf,
+        state.dr,
+        state.mt,
+        history[best_i + 1],
+        _is_stagnant(history, state),
+    )
+    return replace(state, ct=ct, sf=sf)
 
 
 def batch_reference_run(

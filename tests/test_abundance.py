@@ -6,7 +6,7 @@ import math
 
 from hypothesis import example, given, strategies as st
 
-from coverwin import AbundanceStats, chao1, completeness, coverage, estimates
+from coverwin import AbundanceStats, Estimates, chao1, completeness, coverage, estimates
 
 from conftest import naive_tallies, ref_chao1, ref_completeness, ref_coverage
 
@@ -82,6 +82,18 @@ def test_estimates_bundle_matches_free_functions():
     assert est.chao1 == chao1(stats)
     assert est.completeness == completeness(stats)
     assert est.coverage == coverage(stats)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=30), max_size=300))
+@example([])  # empty
+@example([0])  # n = 1
+@example(list(range(25)))  # all singletons: f2 = 0
+@example([0, 0])  # one doubleton, no singleton
+def test_one_pass_estimates_equal_the_free_functions(tokens):
+    stats = observe_all([str(t) for t in tokens])
+    expected = Estimates(chao1(stats), completeness(stats), coverage(stats))
+    assert estimates(stats) == expected
+    assert stats.estimates() == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=30), max_size=300))

@@ -25,7 +25,6 @@ from coverwin import (
     ViewConfig,
     generate,
     replay,
-    update_threshold,
 )
 from coverwin import bench
 from coverwin.cli import main
@@ -41,7 +40,7 @@ from coverwin.stream_io import (
 from coverwin.views import ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT
 from coverwin.window import CT_CEILING, SF_CEILING, SF_FLOOR
 
-from conftest import adaptive_run, batch_reference_run
+from conftest import adaptive_run, batch_reference_run, update_threshold
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

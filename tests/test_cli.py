@@ -6,6 +6,7 @@ import argparse
 import csv
 import gc
 import io
+import math
 import os
 import shutil
 import socket
@@ -18,6 +19,7 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coverwin
 from coverwin import driftgen
@@ -26,7 +28,7 @@ from coverwin.cli import (
     SIZES_HEADER,
     _make_strategy,
     _RecordWriter,
-    _sizes_row,
+    _sizes_line,
     build_parsers,
     cmd_listen,
     load_config_file,
@@ -44,6 +46,34 @@ from conftest import DATA_DIR, dumps_window_record, make_events
 
 WORKED = f"{DATA_DIR}/worked_example.jsonl"
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def sizes_cells(r):
+    """A sizes-CSV row's cells, for ``csv.writer`` as the reference."""
+    cov, thr = format(r.coverage, ".6g"), format(r.threshold, ".6g")
+    return (r.index, r.size, r.first_ts, r.last_ts, cov, thr)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e21]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(),
+    st.integers(),
+    st.integers(),
+    st.integers(),
+    st.floats() | st.sampled_from(EDGE_FLOATS),
+    st.floats() | st.sampled_from(EDGE_FLOATS),
+)
+@example(-1, -2, -3, -4, math.nan, -0.0)
+@example(0, 1, 2, 3, math.inf, -math.inf)
+@example(0, 1, 2, 3, 1e-300, 1e21)
+def test_sizes_line_is_csv_writers_row(index, size, first_ts, last_ts, cov, thr):
+    record = WindowRecord(index, (), size, first_ts, last_ts, cov, 0.0, 0.0, thr)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerow(sizes_cells(record))
+    assert _sizes_line(record) == expected.getvalue()
 
 
 def read_csv(path):
@@ -490,7 +520,7 @@ def test_analyze_outputs_are_the_reference_text(tmp_path, scenario, view):
             dumps_window_record(r) + "\n" for r in records
         )
         expected = io.StringIO(newline="")
-        csv.writer(expected).writerows([SIZES_HEADER, *map(_sizes_row, records)])
+        csv.writer(expected).writerows([SIZES_HEADER, *map(sizes_cells, records)])
         assert sizes_path.read_bytes().decode("utf-8") == expected.getvalue()
 
 

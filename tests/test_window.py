@@ -1,29 +1,37 @@
 """Adaptive threshold updates and window close behavior.
 
 The incremental threshold maintenance inside AdaptiveWindow is checked
-against the pure full-scan ``update_threshold`` by running both side by
-side over the same streams.
+against the pure full-scan ``update_threshold`` of conftest by running
+both side by side over the same streams.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverwin import (
+    AbundanceStats,
     AdaptiveWindow,
     BaselineConfig,
     BaselineWindow,
+    Estimates,
     Event,
     SpeciesView,
     ThresholdState,
     ViewConfig,
-    update_threshold,
+    WindowRecord,
+    estimates,
 )
 from coverwin.baselines import COUNT_TUMBLING, LANDMARK, TIME_TUMBLING
+from coverwin.stream_io import parse_window_record, window_record_to_json
 from coverwin.views import ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT
 from coverwin.window import (
     CT_CEILING,
@@ -34,7 +42,7 @@ from coverwin.window import (
     _next_threshold,
 )
 
-from conftest import adaptive_run, batch_reference_run, make_events
+from conftest import adaptive_run, batch_reference_run, make_events, update_threshold
 
 
 # --- threshold state ---------------------------------------------------------
@@ -339,6 +347,103 @@ def test_record_fields_describe_buffer():
     assert rec.events == tuple(events)
     assert rec.first_ts == events[0].timestamp
     assert rec.last_ts == events[-1].timestamp
+
+
+def test_window_record_keeps_its_dataclass_contract():
+    # WindowRecord has a hand-written __init__; everything else is the dataclass's
+    events = (Event("c", "A", 5),)
+    rec = WindowRecord(0, events, 1, 5, 5, 0.5, 0.75, 2.5, 0.9)
+    same = WindowRecord(
+        index=0,
+        events=events,
+        size=1,
+        first_ts=5,
+        last_ts=5,
+        coverage=0.5,
+        completeness=0.75,
+        chao1=2.5,
+        threshold=0.9,
+    )
+    assert rec == same and hash(rec) == hash(same)
+    assert rec.force_closed is False
+    assert rec != WindowRecord(0, events, 1, 5, 5, 0.5, 0.75, 2.5, 0.9, True)
+    assert rec != (0, events, 1, 5, 5, 0.5, 0.75, 2.5, 0.9, False)
+    assert repr(rec) == (
+        "WindowRecord(index=0, events=(Event(case_id='c', activity='A', timestamp=5),), "
+        "size=1, first_ts=5, last_ts=5, coverage=0.5, completeness=0.75, chao1=2.5, "
+        "threshold=0.9, force_closed=False)"
+    )
+    assert dataclasses.is_dataclass(rec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.size = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rec.coverage
+    assert [f.name for f in dataclasses.fields(WindowRecord)] == [
+        "index",
+        "events",
+        "size",
+        "first_ts",
+        "last_ts",
+        "coverage",
+        "completeness",
+        "chao1",
+        "threshold",
+        "force_closed",
+    ]
+    assert dataclasses.asdict(rec) == {
+        "index": 0,
+        "events": ({"case_id": "c", "activity": "A", "timestamp": 5},),
+        "size": 1,
+        "first_ts": 5,
+        "last_ts": 5,
+        "coverage": 0.5,
+        "completeness": 0.75,
+        "chao1": 2.5,
+        "threshold": 0.9,
+        "force_closed": False,
+    }
+    forced = dataclasses.replace(rec, force_closed=True, index=3)
+    assert forced == WindowRecord(3, events, 1, 5, 5, 0.5, 0.75, 2.5, 0.9, True)
+    for clone in (
+        pickle.loads(pickle.dumps(rec)),
+        copy.copy(rec),
+        copy.deepcopy(rec),
+    ):
+        assert clone == rec and type(clone) is WindowRecord
+    # dict-backed, not slotted: a record can be weakly referenced
+    assert weakref.ref(rec)() is rec
+    with pytest.raises(TypeError):
+        WindowRecord(0, events, 1, 5, 5, 0.5, 0.75, 2.5)
+    with pytest.raises(TypeError):
+        WindowRecord(0, events, 1, 5, 5, 0.5, 0.75, 2.5, 0.9, False, 1)
+    with pytest.raises(TypeError):
+        WindowRecord(0, events, 1, 5, 5, 0.5, 0.75, 2.5, 0.9, extra=1)
+    for r in (rec, forced):
+        assert parse_window_record(window_record_to_json(r)) == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("cd"), st.sampled_from("ABCDEFG")), max_size=120),
+    st.sampled_from(["adaptive", COUNT_TUMBLING]),
+)
+@example([("c", "A")] * 8, "adaptive")  # closes nothing: only the flush
+@example([("c", a) for a in "ABACBDACEAB"], COUNT_TUMBLING)  # 11 = 7 + 4 forced
+def test_record_estimates_are_those_of_its_own_activities(pairs, strategy):
+    """Under activity 1-grams a window's species are its events' activities."""
+    view = SpeciesView(ViewConfig(ACTIVITY_NGRAM))
+    if strategy == "adaptive":
+        win = AdaptiveWindow(view)
+    else:
+        win = BaselineWindow(view, BaselineConfig(COUNT_TUMBLING, count=7))
+    records = [win.process_event(Event(c, a, i)) for i, (c, a) in enumerate(pairs)]
+    records = [r for r in (*records, win.flush()) if r is not None]
+    assert sum(r.size for r in records) == len(pairs)
+    for r in records:
+        stats = AbundanceStats()
+        for ev in r.events:
+            stats.observe(ev.activity)
+        assert Estimates(r.chao1, r.completeness, r.coverage) == estimates(stats)
 
 
 STRATEGIES = {

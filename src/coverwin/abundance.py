@@ -67,9 +67,6 @@ class AbundanceStats:
         self.f1 = 0
         self.f2 = 0
 
-    def estimates(self) -> Estimates:
-        return estimates(self)
-
 
 def chao1(stats: AbundanceStats) -> float:
     """Chao1 lower-bound estimate of the total number of species.
@@ -78,11 +75,7 @@ def chao1(stats: AbundanceStats) -> float:
     s_n + f1 (f1 - 1) / 2 when no doubletons exist.  An empty sample
     estimates zero species.
     """
-    if stats.n == 0:
-        return 0.0
-    if stats.f2 > 0:
-        return stats.s_n + (stats.f1 * stats.f1) / (2.0 * stats.f2)
-    return stats.s_n + (stats.f1 * (stats.f1 - 1)) / 2.0
+    return _estimate_tuple(stats)[0]
 
 
 def completeness(stats: AbundanceStats) -> float:
@@ -91,9 +84,7 @@ def completeness(stats: AbundanceStats) -> float:
     s_n / chao1, which is 1.0 exactly when no singletons remain.  Empty
     sample convention: 0.0.
     """
-    if stats.n == 0:
-        return 0.0
-    return stats.s_n / chao1(stats)
+    return _estimate_tuple(stats)[1]
 
 
 def coverage(stats: AbundanceStats) -> float:

@@ -30,10 +30,6 @@ def run_stream(events: Iterable[Event], strategy: Windower) -> list[WindowRecord
     return records
 
 
-def window_sizes(records: Sequence[WindowRecord]) -> list[int]:
-    return [r.size for r in records]
-
-
 def first_window_at_case(records: Sequence[WindowRecord], case_index: int) -> int:
     """Index of the first window that contains a case >= case_index.
 
@@ -44,26 +40,6 @@ def first_window_at_case(records: Sequence[WindowRecord], case_index: int) -> in
         if any(case_number(e.case_id) >= case_index for e in record.events):
             return w
     raise ValueError(f"no window reaches case {case_index}")
-
-
-@dataclass(frozen=True)
-class WindowSizeSeries:
-    """Closed-window sizes with the window indices nearest known drifts."""
-
-    sizes: tuple[int, ...]
-    drift_markers: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if any(size < 1 for size in self.sizes):
-            raise ValueError("window sizes must be at least 1")
-
-
-def size_series(
-    records: Sequence[WindowRecord], drift_case_indices: Sequence[int] = ()
-) -> WindowSizeSeries:
-    """Series of a run's window sizes, drift positions mapped to windows."""
-    markers = tuple(first_window_at_case(records, c) for c in drift_case_indices)
-    return WindowSizeSeries(tuple(window_sizes(records)), markers)
 
 
 @dataclass(frozen=True)
@@ -85,7 +61,7 @@ class DriftAdaptationReport:
 
 
 def drift_adaptation_stats(
-    series: WindowSizeSeries | Sequence[int],
+    sizes: Sequence[int],
     drift_window: int,
     before: int = 10,
     after: int = 20,
@@ -96,7 +72,6 @@ def drift_adaptation_stats(
     second half.  Raises ValueError when fewer than ``before`` windows
     precede the drift or fewer than ``after`` follow it.
     """
-    sizes = series.sizes if isinstance(series, WindowSizeSeries) else series
     if before < 1 or after < 2:
         raise ValueError("need before >= 1 and after >= 2")
     if drift_window - before < 0 or drift_window + after > len(sizes):
@@ -117,15 +92,6 @@ def drift_adaptation_stats(
         during_mean=fmean(after_span[:half]),
         post_mean=fmean(after_span[half:]),
     )
-
-
-def segment_means(
-    sizes: Sequence[int], start: int, end: int
-) -> tuple[float, float, float]:
-    """Mean window size before ``start``, in [start, end), and from ``end``."""
-    if not 0 < start < end < len(sizes):
-        raise ValueError("need non-empty pre, during and post segments")
-    return fmean(sizes[:start]), fmean(sizes[start:end]), fmean(sizes[end:])
 
 
 # --- directly-follows accuracy proxy ---------------------------------------
@@ -219,19 +185,6 @@ def summarize_accuracy(
         mean_recall=fmean(s.recall for s in scores),
         mean_f1=fmean(s.f1 for s in scores),
     )
-
-
-def accuracy_by_strategy(
-    events: Sequence[Event],
-    pool_per_case: Sequence[int],
-    pools: Sequence[VariantPool],
-    factories: dict[str, Callable[[], Windower]],
-) -> list[StrategySummary]:
-    """Run each strategy over the same events and score it."""
-    return [
-        summarize_accuracy(name, run_stream(events, factory()), pool_per_case, pools)
-        for name, factory in factories.items()
-    ]
 
 
 # --- speed ------------------------------------------------------------------

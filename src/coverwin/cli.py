@@ -18,7 +18,6 @@ import signal
 import sys
 import threading
 from dataclasses import asdict, astuple, fields, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence, TextIO
 
 from . import driftgen
@@ -105,6 +104,10 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="key = value file supplying defaults for this command's flags",
     )
+
+
+def _add_outdir_flag(p: argparse.ArgumentParser, files: str) -> None:
+    p.add_argument("--outdir", default=None, metavar="DIR", help=f"write {files} here")
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -431,9 +434,6 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
     return 0
 
 
-
-
-
 def cmd_bench_latency(args: argparse.Namespace) -> int:
     # Importing bench costs 12-17 ms, with the statistics module it pulls
     # in: about a sixth of the start-up of analyze and listen, which never
@@ -481,11 +481,13 @@ def cmd_bench_drift(args: argparse.Namespace) -> int:
 
     _, events, annotations = _generate(args)
     records = bench.run_stream(events, _make_strategy(args))
-    series = bench.size_series(records, annotations.drift_case_indices[:1])
+    first_drift = annotations.drift_case_indices[0]
+    drift_window = bench.first_window_at_case(records, first_drift)
+    sizes = [r.size for r in records]
     report = bench.drift_adaptation_stats(
-        series, series.drift_markers[0], before=args.before, after=args.after
+        sizes, drift_window, before=args.before, after=args.after
     )
-    print(_line(windows=len(series.sizes), **asdict(report)))
+    print(_line(windows=len(sizes), **asdict(report)))
     if args.outdir:
         with _open_sizes_csv(_outpath(args.outdir, "window_sizes.csv")) as fp:
             fp.writelines(map(_sizes_line, records))
@@ -497,15 +499,14 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     from . import bench
 
     spec, events, annotations = _generate(args)
-    factories: dict[str, Callable[[], Windower]] = {
-        name: partial(
-            _make_strategy, argparse.Namespace(**{**vars(args), "strategy": name})
+    summaries = []
+    for name in ("adaptive", COUNT_TUMBLING, LANDMARK):
+        strategy = _make_strategy(argparse.Namespace(**vars(args) | {"strategy": name}))
+        records = bench.run_stream(events, strategy)
+        summary = bench.summarize_accuracy(
+            name, records, annotations.pool_per_case, spec.pools
         )
-        for name in ("adaptive", COUNT_TUMBLING, LANDMARK)
-    }
-    summaries = bench.accuracy_by_strategy(
-        events, annotations.pool_per_case, spec.pools, factories
-    )
+        summaries.append(summary)
     print(f"{'strategy':<16} {'windows':>7} {'precision':>9} {'recall':>7} {'f1':>7}")
     for s in summaries:
         print(
@@ -564,32 +565,28 @@ def build_parsers() -> tuple[
     )
     subs = parser.add_subparsers(dest="command", required=True)
     table: dict[tuple[str, ...], argparse.ArgumentParser] = {}
-    fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = subs.add_parser(
-        "analyze", help="window an event log file", formatter_class=fmt
-    )
-    _add_config_flag(p)
+    def command(subs, key, func, help) -> argparse.ArgumentParser:
+        """Register the parser for ``key`` with its --config flag and func."""
+        p = subs.add_parser(
+            key[-1], help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        _add_config_flag(p)
+        p.set_defaults(func=func)
+        table[key] = p
+        return p
+
+    p = command(subs, ("analyze",), cmd_analyze, "window an event log file")
     _add_source_flags(p)
     _add_view_flags(p)
     _add_strategy_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_analyze)
-    table[("analyze",)] = p
 
-    p = subs.add_parser(
-        "estimate", help="whole-file abundance estimates", formatter_class=fmt
-    )
-    _add_config_flag(p)
+    p = command(subs, ("estimate",), cmd_estimate, "whole-file abundance estimates")
     _add_source_flags(p)
     _add_view_flags(p)
-    p.set_defaults(func=cmd_estimate)
-    table[("estimate",)] = p
 
-    p = subs.add_parser(
-        "driftgen", help="generate a drifting event stream", formatter_class=fmt
-    )
-    _add_config_flag(p)
+    p = command(subs, ("driftgen",), cmd_driftgen, "generate a drifting event stream")
     p.add_argument(
         "--scenario",
         choices=driftgen.SCENARIO_NAMES,
@@ -611,16 +608,13 @@ def build_parsers() -> tuple[
         metavar="FILE",
         help="ground-truth sidecar path (default: OUT.annotations.json)",
     )
-    p.set_defaults(func=cmd_driftgen)
-    table[("driftgen",)] = p
 
     p = subs.add_parser("bench", help="measure the engine")
     bench_subs = p.add_subparsers(dest="bench_mode", required=True)
 
-    b = bench_subs.add_parser(
-        "latency", help="per-window-size latency", formatter_class=fmt
+    b = command(
+        bench_subs, ("bench", "latency"), cmd_bench_latency, "per-window-size latency"
     )
-    _add_config_flag(b)
     b.add_argument(
         "--sizes",
         type=_int_list,
@@ -628,48 +622,39 @@ def build_parsers() -> tuple[
         help="comma-separated window sizes",
     )
     b.add_argument("--trials", type=int, default=7, help="timed trials per size")
-    b.add_argument("--outdir", default=None, metavar="DIR", help="write latency.csv here")
-    b.set_defaults(func=cmd_bench_latency)
-    table[("bench", "latency")] = b
+    _add_outdir_flag(b, "latency.csv")
 
-    b = bench_subs.add_parser(
-        "throughput", help="events per second over a file", formatter_class=fmt
+    b = command(
+        bench_subs,
+        ("bench", "throughput"),
+        cmd_bench_throughput,
+        "events per second over a file",
     )
-    _add_config_flag(b)
     _add_source_flags(b)
     _add_view_flags(b)
     _add_strategy_flags(b)
     b.add_argument("--runs", type=int, default=5, help="full-file repetitions")
-    b.add_argument(
-        "--outdir", default=None, metavar="DIR", help="write throughput.csv here"
-    )
-    b.set_defaults(func=cmd_bench_throughput)
-    table[("bench", "throughput")] = b
+    _add_outdir_flag(b, "throughput.csv")
 
-    b = bench_subs.add_parser(
-        "drift", help="window-size reaction around a drift", formatter_class=fmt
+    b = command(
+        bench_subs,
+        ("bench", "drift"),
+        cmd_bench_drift,
+        "window-size reaction around a drift",
     )
-    _add_config_flag(b)
     _add_scenario_flags(b)
     b.add_argument("--before", type=int, default=10, help="windows before the drift")
     b.add_argument("--after", type=int, default=20, help="windows after the drift")
     _add_view_flags(b)
     _add_strategy_flags(b)
-    b.add_argument(
-        "--outdir",
-        default=None,
-        metavar="DIR",
-        help="write window_sizes.csv and drift_report.csv here",
-    )
-    b.set_defaults(func=cmd_bench_drift)
-    table[("bench", "drift")] = b
+    _add_outdir_flag(b, "window_sizes.csv and drift_report.csv")
 
-    b = bench_subs.add_parser(
-        "compare",
-        help="adaptive vs count vs landmark on one generated log",
-        formatter_class=fmt,
+    b = command(
+        bench_subs,
+        ("bench", "compare"),
+        cmd_bench_compare,
+        "adaptive vs count vs landmark on one generated log",
     )
-    _add_config_flag(b)
     _add_scenario_flags(b)
     _add_view_flags(b)
     b.set_defaults(view="directly_follows")
@@ -678,16 +663,11 @@ def build_parsers() -> tuple[
     # must demand pair-level representativeness; the global floor of 0.5 is
     # too permissive for that and would dominate every close decision.
     b.set_defaults(mt=0.75)
-    b.add_argument(
-        "--outdir", default=None, metavar="DIR", help="write comparison.csv here"
-    )
-    b.set_defaults(func=cmd_bench_compare)
-    table[("bench", "compare")] = b
+    _add_outdir_flag(b, "comparison.csv")
 
-    p = subs.add_parser(
-        "listen", help="ingest events over TCP until interrupted", formatter_class=fmt
+    p = command(
+        subs, ("listen",), cmd_listen, "ingest events over TCP until interrupted"
     )
-    _add_config_flag(p)
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=0, help="bind port; 0 picks a free one")
     p.add_argument(
@@ -698,8 +678,6 @@ def build_parsers() -> tuple[
     _add_view_flags(p)
     _add_strategy_flags(p)
     _add_output_flags(p, verbose_flag=False)
-    p.set_defaults(func=cmd_listen)
-    table[("listen",)] = p
 
     return parser, table
 

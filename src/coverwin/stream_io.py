@@ -344,10 +344,11 @@ class StreamServer:
     of its lines.  Its handler thread calls ``on_event`` for the events of
     each read, under one lock for all connections, before it reads again:
     events are windowed in arrival order, downstream state needs no
-    locking, and TCP slows a fast sender.  Timestamp regressions are rejected at the door: silently
-    counted in lenient mode, answered with an ERR line in strict mode.
-    The server never crashes on a bad or out-of-order line.  Events that
-    arrive after ``stop`` are counted as received and dropped.
+    locking, and TCP slows a fast sender.  Timestamp regressions are
+    rejected at the door: silently counted in lenient mode, answered with
+    an ERR line in strict mode.  The server never crashes on a bad or
+    out-of-order line.  Events that arrive after ``stop`` are counted as
+    received and dropped.
     """
 
     def __init__(

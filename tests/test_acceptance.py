@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from statistics import fmean
 
 from coverwin import (
     AbundanceStats,
@@ -23,6 +24,7 @@ from coverwin import (
     SpeciesView,
     ThresholdState,
     ViewConfig,
+    estimates,
     generate,
     replay,
 )
@@ -59,7 +61,7 @@ def test_criterion_1_worked_example(worked_example_events):
     for ev in worked_example_events:
         for sp in view.extract(ev):
             activity.observe(sp)
-    act_est = activity.estimates()
+    act_est = estimates(activity)
 
     pairs = AbundanceStats()
     view = SpeciesView(ViewConfig(DIRECTLY_FOLLOWS))
@@ -176,7 +178,7 @@ def test_criterion_3_threshold_behavior():
 def _adaptive_sizes(name: str) -> list[int]:
     events, _ = generate(builtin_scenario(name))
     win = AdaptiveWindow(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
-    return bench.window_sizes(bench.run_stream(events, win))
+    return [r.size for r in bench.run_stream(events, win)]
 
 
 def test_criterion_4_alphabet_size_stretches_windows():
@@ -208,23 +210,26 @@ def test_criterion_5_sudden_and_gradual_drift():
     events, ann = generate(spec)
     win = AdaptiveWindow(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
     records = bench.run_stream(events, win)
-    series = bench.size_series(records, ann.drift_case_indices)
-    dw = series.drift_markers[0]
-    rep = bench.drift_adaptation_stats(series, dw)
-    pre = sum(series.sizes[:dw]) / dw
-    post = sum(series.sizes[dw:]) / (len(series.sizes) - dw)
+    sizes = [r.size for r in records]
+    dw = bench.first_window_at_case(records, ann.drift_case_indices[0])
+    rep = bench.drift_adaptation_stats(sizes, dw)
+    pre = sum(sizes[:dw]) / dw
+    post = sum(sizes[dw:]) / (len(sizes) - dw)
     sudden_ok = post >= 1.15 * pre and rep.coefficient_of_variation < 0.5
 
     spec_g = builtin_scenario("gradual")
     events_g, _ = generate(spec_g)
     win = AdaptiveWindow(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
     records_g = bench.run_stream(events_g, win)
-    sizes_g = bench.window_sizes(records_g)
+    sizes_g = [r.size for r in records_g]
     lo = int(spec_g.ramp_interval[0] * spec_g.total_cases)
     hi = int(spec_g.ramp_interval[1] * spec_g.total_cases)
     w_lo = bench.first_window_at_case(records_g, lo)
     w_hi = bench.first_window_at_case(records_g, hi)
-    g_pre, g_during, g_post = bench.segment_means(sizes_g, w_lo, w_hi)
+    assert 0 < w_lo < w_hi < len(sizes_g)
+    g_pre = fmean(sizes_g[:w_lo])
+    g_during = fmean(sizes_g[w_lo:w_hi])
+    g_post = fmean(sizes_g[w_hi:])
     gradual_ok = g_pre < g_during < g_post
 
     report(

@@ -20,8 +20,6 @@ from coverwin.bench import (
     DfgAccuracy,
     LatencyRow,
     ThroughputReport,
-    WindowSizeSeries,
-    accuracy_by_strategy,
     df_pairs,
     dfg_accuracy,
     drift_adaptation_stats,
@@ -32,9 +30,7 @@ from coverwin.bench import (
     measure_throughput,
     pool_reference_pairs,
     run_stream,
-    segment_means,
-    size_series,
-    window_sizes,
+    summarize_accuracy,
 )
 from coverwin.driftgen import builtin_scenario, generate, make_pool
 from coverwin.stream_io import FILE_JSONL, write_events_jsonl
@@ -70,13 +66,13 @@ def record_for(case_ids, index=0):
 
 def test_run_stream_appends_flushed_tail():
     records = run_stream(make_events("ABCDE"), count_strategy(2))
-    assert window_sizes(records) == [2, 2, 1]
+    assert [r.size for r in records] == [2, 2, 1]
     assert records[-1].force_closed
 
 
 def test_run_stream_no_tail_when_exact():
     records = run_stream(make_events("ABCD"), count_strategy(2))
-    assert window_sizes(records) == [2, 2]
+    assert [r.size for r in records] == [2, 2]
     assert not records[-1].force_closed
 
 
@@ -89,19 +85,6 @@ def test_first_window_at_case():
     assert first_window_at_case(records, 9) == 2
     with pytest.raises(ValueError):
         first_window_at_case(records, 10)
-
-
-def test_size_series_maps_drift_to_window():
-    events = [Event(f"c{i}", "A", 1000 + i) for i in range(10)]
-    records = run_stream(events, count_strategy(4))
-    series = size_series(records, drift_case_indices=(5,))
-    assert series.sizes == (4, 4, 2)
-    assert series.drift_markers == (1,)
-
-
-def test_window_size_series_rejects_empty_windows():
-    with pytest.raises(ValueError):
-        WindowSizeSeries(sizes=(3, 0, 2))
 
 
 # --- drift statistics ----------------------------------------------------------
@@ -121,12 +104,6 @@ def test_drift_adaptation_stats_hand_example():
     assert math.isclose(rep.coefficient_of_variation, math.sqrt(var) / mean)
 
 
-def test_drift_adaptation_stats_accepts_series():
-    series = WindowSizeSeries(sizes=(4, 4, 8, 8, 6, 6), drift_markers=(2,))
-    rep = drift_adaptation_stats(series, series.drift_markers[0], before=2, after=4)
-    assert rep.drift_window == 2
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -139,15 +116,6 @@ def test_drift_adaptation_stats_accepts_series():
 def test_drift_adaptation_stats_validates_span(kwargs):
     with pytest.raises(ValueError):
         drift_adaptation_stats([5, 5, 5, 5, 5, 5], **kwargs)
-
-
-def test_segment_means():
-    pre, during, post = segment_means([2, 2, 4, 4, 6, 6], 2, 4)
-    assert (pre, during, post) == (2.0, 4.0, 6.0)
-    with pytest.raises(ValueError):
-        segment_means([1, 2, 3], 0, 2)
-    with pytest.raises(ValueError):
-        segment_means([1, 2, 3], 2, 2)
 
 
 # --- accuracy proxy -------------------------------------------------------------
@@ -198,22 +166,15 @@ def test_majority_pool_counts_events_and_breaks_ties_low():
     assert majority_pool(record_for(["c0", "c1"]), pool_per_case) == 0
 
 
-def test_accuracy_by_strategy_runs_all_factories():
+def test_summarize_accuracy_scores_each_run():
     spec = builtin_scenario("sudden")
     events, ann = generate(spec)
     events = events[:600]
-    summaries = accuracy_by_strategy(
-        events,
-        ann.pool_per_case,
-        spec.pools,
-        {
-            "count5": lambda: count_strategy(5),
-            "count50": lambda: count_strategy(50),
-        },
-    )
-    assert [s.strategy for s in summaries] == ["count5", "count50"]
-    for s in summaries:
-        assert s.windows > 0
+    for name, count in (("count5", 5), ("count50", 50)):
+        records = run_stream(events, count_strategy(count))
+        s = summarize_accuracy(name, records, ann.pool_per_case, spec.pools)
+        assert s.strategy == name
+        assert s.windows == len(records) > 0
         assert 0.0 <= s.mean_f1 <= 1.0
 
 

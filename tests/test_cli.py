@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -39,7 +40,7 @@ from coverwin.stream_io import (
     parse_window_record,
     write_events_jsonl,
 )
-from coverwin.views import VIEW_KINDS
+from coverwin.views import VIEW_KINDS, Event
 from coverwin.window import WindowRecord
 
 from conftest import DATA_DIR, dumps_window_record, make_events
@@ -102,6 +103,32 @@ def test_estimate_directly_follows_view(capsys):
     out = capsys.readouterr().out
     assert "n=8 species=7 f1=6 f2=1" in out
     assert "chao1=25 " in out
+
+
+def test_estimate_memory_does_not_grow_with_the_stream(tmp_path, capsys):
+    """estimate keeps counts, not events: 10x the events, about the same peak."""
+
+    def write(count):
+        path = str(tmp_path / f"{count}.jsonl")
+        events = [Event(f"c{i % 5}", f"a{i % 10}", (i + 1) * 100) for i in range(count)]
+        write_events_jsonl(events, path)
+        return path
+
+    def peak(path):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["estimate", path]) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+
+    small, large = write(2_000), write(20_000)
+    tracemalloc.start()
+    try:
+        peak(small)  # warm-up: first-run imports and caches
+        small_peak, large_peak = peak(small), peak(large)
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert large_peak - small_peak <= 256 * 1024, (small_peak, large_peak)
 
 
 def test_analyze_writes_windows_and_sizes(tmp_path, capsys):

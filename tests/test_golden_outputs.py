@@ -1,4 +1,4 @@
-"""Byte identity of ``analyze``'s outputs, pinned by SHA-256 digests.
+"""Byte identity of the commands' outputs, pinned by SHA-256 digests.
 
 Each run is in-process ``coverwin analyze --windows-out --sizes-csv`` on a
 built-in scenario written as JSONL.  The SHA-256 of the windows JSONL, of
@@ -6,6 +6,16 @@ the sizes CSV and of the summary line must match
 ``tests/data/golden_outputs.json``.  The runs are the six small scenarios
 x four views x four strategies, plus ``throughput`` with the two flag sets
 perfbench runs it with.  Outputs do not depend on ``PYTHONHASHSEED``.
+
+The same file pins, per small scenario, ``bench drift`` under each
+strategy, ``bench compare`` with the default seed and with ``--seed 3``
+and ``estimate`` under each view: exit code, stdout, stderr and every file
+written to ``--outdir``.  It also pins the ``--help`` of every parser at
+80 columns, as this Python's argparse formats them (3.11; later versions
+format some lines differently).  ``bench drift`` exits 1 under
+``time_tumbling`` on every scenario but ``gradual``, as it has too few
+windows after the drift; its error message is pinned like any other
+output.
 
 A change that is meant to alter these outputs regenerates the digests with
 
@@ -29,6 +39,7 @@ import pytest
 from coverwin import driftgen
 from coverwin.cli import main
 from coverwin.stream_io import write_events_jsonl
+from coverwin.views import VIEW_KINDS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "golden_outputs.json")
@@ -51,6 +62,20 @@ THROUGHPUT_FLAGS = {
     "ngram1": ("--view", "activity_ngram", "--ngram", "1"),
     "count20": ("--strategy", "count_tumbling", "--count", "20"),
 }
+DRIFT_STRATEGIES = ("adaptive", "count_tumbling", "time_tumbling", "landmark")
+COMPARE_SEEDS = {"seed_default": (), "seed3": ("--seed", "3")}
+PARSERS = (
+    (),
+    ("analyze",),
+    ("estimate",),
+    ("driftgen",),
+    ("bench",),
+    ("bench", "latency"),
+    ("bench", "throughput"),
+    ("bench", "drift"),
+    ("bench", "compare"),
+    ("listen",),
+)
 
 
 def runs_of(scenario: str) -> dict[str, tuple[str, ...]]:
@@ -94,15 +119,86 @@ def scenario_digests(scenario: str, workdir: str) -> dict[str, dict[str, str]]:
     return out
 
 
-def load_golden() -> dict[str, dict[str, str]]:
+def command_runs_of(scenario: str, path: str) -> dict[str, list[str]]:
+    """Run name -> argv of bench drift, bench compare and estimate."""
+    runs = {}
+    for s in DRIFT_STRATEGIES:
+        runs[f"bench_drift/{scenario}/{s}"] = [
+            "bench", "drift", "--scenario", scenario, "--strategy", s
+        ]
+    for name, flags in COMPARE_SEEDS.items():
+        runs[f"bench_compare/{scenario}/{name}"] = [
+            "bench", "compare", "--scenario", scenario, *flags
+        ]
+    for view in VIEW_KINDS:
+        runs[f"estimate/{scenario}/{view}"] = ["estimate", path, "--view", view]
+    return runs
+
+
+def run_digests(argv: list[str], outdir: str | None = None) -> dict[str, object]:
+    """Exit code and digests of stdout, stderr and each file in ``outdir``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    if outdir is not None:
+        os.makedirs(outdir)
+        argv = [*argv, "--outdir", outdir]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    out: dict[str, object] = {
+        "exit": code,
+        "stdout": _sha256(stdout.getvalue().encode("utf-8")),
+        "stderr": _sha256(stderr.getvalue().encode("utf-8")),
+    }
+    for name in sorted(os.listdir(outdir)) if outdir is not None else ():
+        with open(os.path.join(outdir, name), "rb") as fp:
+            out[name] = _sha256(fp.read())
+    return out
+
+
+def command_digests(scenario: str, workdir: str) -> dict[str, dict[str, object]]:
+    events, _ = driftgen.generate(driftgen.builtin_scenario(scenario))
+    path = os.path.join(workdir, f"{scenario}.jsonl")
+    write_events_jsonl(events, path)
+    out = {}
+    for name, argv in command_runs_of(scenario, path).items():
+        outdir = None
+        if argv[0] == "bench":
+            outdir = os.path.join(workdir, name.replace("/", "_"))
+        out[name] = run_digests(argv, outdir)
+    return out
+
+
+def help_digests() -> dict[str, dict[str, object]]:
+    """``--help`` of every parser, formatted for 80 columns."""
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return {
+            "help/" + " ".join(("coverwin", *cmd)): run_digests([*cmd, "--help"])
+            for cmd in PARSERS
+        }
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+
+
+def load_golden() -> dict[str, dict[str, object]]:
     with open(GOLDEN, encoding="utf-8") as fp:
         return json.load(fp)
 
 
 def test_golden_file_covers_every_run():
-    expected = {name for sc in (*SMALL_SCENARIOS, "throughput") for name in runs_of(sc)}
-    assert set(load_golden()) == expected
-    assert len(expected) == 6 * 4 * 4 + 2
+    analyze = {name for sc in (*SMALL_SCENARIOS, "throughput") for name in runs_of(sc)}
+    commands = {name for sc in SMALL_SCENARIOS for name in command_runs_of(sc, "")}
+    helps = {"help/" + " ".join(("coverwin", *cmd)) for cmd in PARSERS}
+    assert set(load_golden()) == analyze | commands | helps
+    assert len(analyze) == 6 * 4 * 4 + 2
+    assert len(commands) == 6 * (4 + 2 + 3)
+    assert len(helps) == 10
 
 
 @pytest.mark.parametrize("scenario", [*SMALL_SCENARIOS, "throughput"])
@@ -112,11 +208,27 @@ def test_analyze_outputs_match_golden_digests(tmp_path, scenario):
     assert got == {name: golden[name] for name in got}
 
 
+@pytest.mark.parametrize("scenario", SMALL_SCENARIOS)
+def test_command_outputs_match_golden_digests(tmp_path, scenario):
+    golden = load_golden()
+    got = command_digests(scenario, str(tmp_path))
+    assert got == {name: golden[name] for name in got}
+
+
+def test_help_matches_golden_digests():
+    golden = load_golden()
+    got = help_digests()
+    assert got == {name: golden[name] for name in got}
+
+
 def regenerate() -> None:
-    digests: dict[str, dict[str, str]] = {}
+    digests: dict[str, dict[str, object]] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for scenario in (*SMALL_SCENARIOS, "throughput"):
             digests.update(scenario_digests(scenario, workdir))
+        for scenario in SMALL_SCENARIOS:
+            digests.update(command_digests(scenario, workdir))
+    digests.update(help_digests())
     with open(GOLDEN, "w", encoding="utf-8") as fp:
         json.dump(digests, fp, indent=1, sort_keys=True)
         fp.write("\n")

@@ -1,0 +1,71 @@
+"""Every module-level name in ``src/coverwin`` has a use.
+
+Each top-level function, class and constant of ``src/coverwin/*.py`` must
+be referenced again in ``src/coverwin/`` or ``perfbench/`` (as a name, an
+attribute, or a string such as perfbench's patch points), or be exported
+in ``coverwin.__all__``.  Tests do not count as a use: code kept only for
+its tests is listed below with the reason it stays.
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import os
+from collections import Counter
+
+import coverwin
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = glob.glob(os.path.join(ROOT, "src", "coverwin", "*.py"))
+CALLERS = SRC + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+
+ALLOWED = {
+    "parse_window_record": "inverse of window_record_to_json for criterion 8's "
+    "round trip",
+    "read_annotations": "inverse of write_annotations for the sidecar round trip",
+}
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fp:
+        return ast.parse(fp.read(), path)
+
+
+def defined_names(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assigned names, dunders excluded."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def references(tree: ast.Module) -> Counter:
+    """Loads of a name, attribute accesses and string constants."""
+    seen: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            seen[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            seen[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            seen[node.value] += 1
+    return seen
+
+
+def unused_names() -> set[str]:
+    used: Counter = Counter()
+    for path in CALLERS:
+        used += references(_parse(path))
+    defined = {name for path in SRC for name in defined_names(_parse(path))}
+    return {n for n in defined if not used[n] and n not in coverwin.__all__}
+
+
+def test_every_module_level_name_has_a_caller():
+    assert unused_names() == set(ALLOWED)
+

@@ -49,13 +49,9 @@ from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
 SIZES_HEADER = ("index", "size", "first_ts", "last_ts", "coverage", "threshold")
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".6g")
-
-
 def _cells(values: Iterable[object]) -> list[object]:
     """Report values as printed: floats as ``.6g``, the rest unchanged."""
-    return [_fmt(v) if isinstance(v, float) else v for v in values]
+    return [format(v, ".6g") if isinstance(v, float) else v for v in values]
 
 
 def _line(**pairs: object) -> str:
@@ -94,16 +90,6 @@ def _int_list(text: str) -> list[int]:
 
 
 # --- flag groups ------------------------------------------------------------
-
-
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--config",
-        action=_ConfigFile,
-        default=None,
-        metavar="FILE",
-        help="key = value file supplying defaults for this command's flags",
-    )
 
 
 def _add_outdir_flag(p: argparse.ArgumentParser, files: str) -> None:
@@ -166,6 +152,10 @@ def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
         default="adaptive",
         help="windowing strategy",
     )
+    _add_rule_flags(p)
+
+
+def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     t = ThresholdState
     p.add_argument("--ct0", type=float, default=t.ct, help="initial closing threshold")
     p.add_argument("--sf0", type=float, default=t.sf, help="initial smoothing factor")
@@ -571,7 +561,13 @@ def build_parsers() -> tuple[
         p = subs.add_parser(
             key[-1], help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
-        _add_config_flag(p)
+        p.add_argument(
+            "--config",
+            action=_ConfigFile,
+            default=None,
+            metavar="FILE",
+            help="key = value file supplying defaults for this command's flags",
+        )
         p.set_defaults(func=func)
         table[key] = p
         return p
@@ -658,7 +654,7 @@ def build_parsers() -> tuple[
     _add_scenario_flags(b)
     _add_view_flags(b)
     b.set_defaults(view="directly_follows")
-    _add_strategy_flags(b)
+    _add_rule_flags(b)
     # Accuracy is scored on directly-follows pairs, so the close criterion
     # must demand pair-level representativeness; the global floor of 0.5 is
     # too permissive for that and would dominate every close decision.

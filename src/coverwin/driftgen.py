@@ -219,7 +219,7 @@ def generate(spec: DriftSpec) -> tuple[list[Event], DriftAnnotations]:
         for i, activity in enumerate(sequence):
             planned.append((start + i * pool.inter_event_gap, j, i, activity))
 
-    planned.sort(key=lambda item: (item[0], item[1], item[2]))
+    planned.sort()  # (j, i) is unique, so activities are never compared
     events: list[Event] = []
     last_ts = -1
     for ts, j, _, activity in planned:
@@ -261,29 +261,54 @@ def spec_from_json(path: str) -> DriftSpec:
     with open(path, encoding="utf-8") as fp:
         obj = json.load(fp)
     pools = []
+    gap_keys = ("inter_event_gap", "inter_case_gap")
     for pool_obj in obj["pools"]:
         variants = tuple(
             (tuple(v["activities"]), float(v.get("weight", 1.0)))
             for v in pool_obj["variants"]
         )
-        pools.append(
-            VariantPool(
-                variants=variants,
-                inter_event_gap=int(pool_obj.get("inter_event_gap", 1000)),
-                inter_case_gap=int(pool_obj.get("inter_case_gap", 1000)),
-            )
-        )
-    casts = {"drift_position": float, "season_length": int, "increments": int}
+        gaps = {key: int(pool_obj[key]) for key in gap_keys if key in pool_obj}
+        pools.append(VariantPool(variants, **gaps))
+    casts = dict(drift_position=float, season_length=int, increments=int, seed=int)
     kwargs = {key: cast(obj[key]) for key, cast in casts.items() if key in obj}
     if "ramp_interval" in obj:
         kwargs["ramp_interval"] = tuple(float(x) for x in obj["ramp_interval"])
-    return DriftSpec(
-        kind=obj["kind"],
-        pools=tuple(pools),
-        total_cases=int(obj["total_cases"]),
-        seed=int(obj.get("seed", 0)),
-        **kwargs,
-    )
+    return DriftSpec(obj["kind"], tuple(pools), int(obj["total_cases"]), **kwargs)
+
+
+_THREE = make_pool("ABC", inter_case_gap=3000)
+_FIVE = make_pool(
+    "ABCDE",
+    "ACBDE",
+    "ABDCE",
+    "ABCED",
+    "ADBCE",
+    "ACDBE",
+    weights=(0.2, 0.18, 0.17, 0.15, 0.15, 0.15),
+    inter_case_gap=3000,
+)
+_FIVE_PLAIN = make_pool("ABCDE", inter_case_gap=3000)
+_SKEWED = make_pool("ABCDE", "ABDCE", weights=(0.7, 0.3), inter_case_gap=3000)
+_SCENARIOS = {
+    "sudden": DriftSpec(SUDDEN, (_THREE, _FIVE), total_cases=400, seed=42),
+    "gradual": DriftSpec(
+        GRADUAL, (_THREE, _FIVE), total_cases=900, ramp_interval=(0.4, 0.6), seed=7
+    ),
+    "recurring": DriftSpec(
+        RECURRING, (_THREE, _FIVE), total_cases=400, season_length=100, seed=11
+    ),
+    "incremental": DriftSpec(
+        INCREMENTAL,
+        tuple(make_pool("ABCDEFG"[: 3 + k], inter_case_gap=3000) for k in range(5)),
+        total_cases=500,
+        increments=4,
+        seed=13,
+    ),
+    "steady3": DriftSpec(SUDDEN, (_THREE, _THREE), total_cases=300, seed=21),
+    "steady5": DriftSpec(SUDDEN, (_FIVE_PLAIN, _FIVE_PLAIN), total_cases=300, seed=21),
+    "throughput": DriftSpec(SUDDEN, (_SKEWED, _SKEWED), total_cases=20_000, seed=99),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def builtin_scenario(name: str) -> DriftSpec:
@@ -295,50 +320,9 @@ def builtin_scenario(name: str) -> DriftSpec:
     single-regime streams; throughput is a large drift-free stream for
     speed measurements.  Case gaps are close to case spans, so cases
     overlap mildly without shredding windows into single-event fragments.
+    The specs are frozen, so every caller may share them.
     """
-    three = make_pool("ABC", inter_case_gap=3000)
-    five = make_pool(
-        "ABCDE",
-        "ACBDE",
-        "ABDCE",
-        "ABCED",
-        "ADBCE",
-        "ACDBE",
-        weights=(0.2, 0.18, 0.17, 0.15, 0.15, 0.15),
-        inter_case_gap=3000,
-    )
-    if name == "sudden":
-        return DriftSpec(SUDDEN, (three, five), total_cases=400, seed=42)
-    if name == "gradual":
-        return DriftSpec(
-            GRADUAL, (three, five), total_cases=900, ramp_interval=(0.4, 0.6), seed=7
-        )
-    if name == "recurring":
-        return DriftSpec(
-            RECURRING, (three, five), total_cases=400, season_length=100, seed=11
-        )
-    if name == "incremental":
-        pools = tuple(
-            make_pool("ABCDEFG"[: 3 + k], inter_case_gap=3000) for k in range(5)
-        )
-        return DriftSpec(INCREMENTAL, pools, total_cases=500, increments=4, seed=13)
-    if name == "steady3":
-        return DriftSpec(SUDDEN, (three, three), total_cases=300, seed=21)
-    if name == "steady5":
-        five_plain = make_pool("ABCDE", inter_case_gap=3000)
-        return DriftSpec(SUDDEN, (five_plain, five_plain), total_cases=300, seed=21)
-    if name == "throughput":
-        pool = make_pool("ABCDE", "ABDCE", weights=(0.7, 0.3), inter_case_gap=3000)
-        return DriftSpec(SUDDEN, (pool, pool), total_cases=20_000, seed=99)
-    raise ValueError(f"unknown scenario: {name!r}")
-
-
-SCENARIO_NAMES = (
-    "sudden",
-    "gradual",
-    "recurring",
-    "incremental",
-    "steady3",
-    "steady5",
-    "throughput",
-)
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        raise ValueError(f"unknown scenario: {name!r}") from None

@@ -253,43 +253,37 @@ def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
     """The non-blank lines of a byte stream, one list per read that ends a line.
 
     Each line is decoded as UTF-8 with bad bytes replaced and stripped,
-    as iterating the stream line by line would give it.  A line split
-    across reads is kept as fragments and joined once when its newline
-    arrives; a last line without a newline comes alone at EOF.  A line
-    longer than ``_MAX_LINE`` bytes comes as one None as soon as a read
-    takes it past the cap, and its bytes are skipped through its newline.
+    as iterating the stream line by line would give it.  The bytes of a
+    line split across reads grow one tail until its newline arrives; a
+    last line without a newline comes alone at EOF.  A line longer than
+    ``_MAX_LINE`` bytes comes as one None as soon as a read takes it past
+    the cap, and its bytes are skipped through its newline.
     """
-    pending: list[bytes] = []
-    held = 0  # bytes of the unfinished line; -1 while skipping a refused one
+    tail: bytearray | None = bytearray()  # None while skipping a refused line
     while chunk := read(_READ_SIZE):
         cut = chunk.rfind(b"\n") + 1
+        end = chunk.find(b"\n") if cut else len(chunk)
         # a line inside one read is shorter than the cap; only one begun
         # in an earlier read can outgrow it
-        if held:
-            end = chunk.find(b"\n") if cut else len(chunk)
-            if held < 0 or held + end > _MAX_LINE:
-                if held > 0:
-                    pending = []
-                    yield None
-                if not cut:
-                    held = -1
-                    continue
-                chunk = chunk[end + 1 :]
-                cut -= end + 1
-                held = 0
+        if tail is None or len(tail) + end > _MAX_LINE:
+            if tail is not None:
+                yield None
+            tail = bytearray() if cut else None
+            if not cut:
+                continue
+            chunk = chunk[end + 1 :]
+            cut -= end + 1
         if not cut:
-            pending.append(chunk)
-            held += len(chunk)
+            tail += chunk
             continue
-        pending.append(chunk[:cut])
-        text = b"".join(pending).decode("utf-8", "replace")
-        pending = [chunk[cut:]] if cut < len(chunk) else []
-        held = len(chunk) - cut
+        tail += chunk[:cut]
+        text = tail.decode("utf-8", "replace")
+        tail = bytearray(chunk[cut:])
         yield [line for line in map(str.strip, text.split("\n")) if line]
-    if held > 0:
-        tail = b"".join(pending).decode("utf-8", "replace").strip()
-        if tail:
-            yield [tail]
+    if tail:
+        line = tail.decode("utf-8", "replace").strip()
+        if line:
+            yield [line]
 
 
 class _StreamHandler(socketserver.StreamRequestHandler):
@@ -298,8 +292,8 @@ class _StreamHandler(socketserver.StreamRequestHandler):
         for lines in _split_reads(self.rfile.read1):
             if lines is None:
                 # every earlier line was windowed when its read was
-                owner._note_parse_error()
-                self._reply(f"ERR line_too_long: line over {_MAX_LINE} bytes")
+                error = f"ERR line_too_long: line over {_MAX_LINE} bytes"
+                self._submit(owner, [], error)
                 continue
             batch: list[Event] = []
             for line in lines:
@@ -307,18 +301,21 @@ class _StreamHandler(socketserver.StreamRequestHandler):
                     batch.append(parse_event(line, "jsonl"))
                 except ParseError as exc:
                     # window the events before a bad line ahead of its reply
-                    self._submit(owner, batch)
+                    self._submit(owner, batch, f"ERR {exc.code}: {exc}")
                     batch = []
-                    owner._note_parse_error()
-                    self._reply(f"ERR {exc.code}: {exc}")
             self._submit(owner, batch)
 
-    def _submit(self, owner: "StreamServer", batch: list[Event]) -> None:
-        if batch:
-            rejected = owner._deliver(batch)
+    def _submit(
+        self, owner: "StreamServer", batch: list[Event], error: str | None = None
+    ) -> None:
+        """Window ``batch``, answer its out-of-order events, then send ``error``."""
+        if batch or error:
+            rejected = owner._deliver(batch, parse_error=error is not None)
             if owner.strict_order:
                 for _ in range(rejected):
                     self._reply("ERR out_of_order: timestamp went backwards")
+            if error:
+                self._reply(error)
 
     def _reply(self, message: str) -> None:
         try:
@@ -397,23 +394,22 @@ class StreamServer:
             self._closed = True
         return self.stats
 
-    def _note_parse_error(self) -> None:
-        with self._lock:
-            self.stats.parse_errors += 1
-
-    def _deliver(self, batch: list[Event]) -> int:
+    def _deliver(self, batch: list[Event], parse_error: bool = False) -> int:
         """Window the in-order events of ``batch`` through ``on_event``.
 
-        Returns how many were rejected for going back in time.  If
+        ``parse_error`` counts the bad line that ended the batch.  Returns
+        how many events were rejected for going back in time.  If
         ``on_event`` raises, its event and the rest of the batch count as
         dropped, and the exception propagates.
         """
         # the order check, the on_event calls and the counters are one atomic
         # step, otherwise two connections could interleave inconsistently
         with self._lock:
-            self.stats.received += len(batch)
+            stats = self.stats
+            stats.parse_errors += parse_error
+            stats.received += len(batch)
             if self._closed:
-                self.stats.dropped += len(batch)
+                stats.dropped += len(batch)
                 return 0
             last = self._last_ts
             kept = []
@@ -423,7 +419,6 @@ class StreamServer:
                     kept.append(event)
             self._last_ts = last
             rejected = len(batch) - len(kept)
-            stats = self.stats
             stats.dropped += rejected
             before = stats.delivered
             try:

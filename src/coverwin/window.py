@@ -51,9 +51,9 @@ class ThresholdState:
             raise ValueError("ct must be in [mt, 0.99]")
         if not SF_FLOOR <= self.sf <= SF_CEILING:
             raise ValueError("sf must be in [0.01, 0.99]")
-        if self.dr <= 0.0:
+        if not self.dr > 0.0:  # also refuses NaN
             raise ValueError("dr must be positive")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("delta must be positive")
         if self.w < 2:
             raise ValueError("w must be at least 2")

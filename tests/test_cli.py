@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
+import json
 import math
 import os
 import shutil
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -198,6 +201,28 @@ def test_analyze_count_strategy(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "windows=2" in out
     assert "mean_size=7" in out
+
+
+def test_analyze_refuses_a_nan_decay(tmp_path, capsys):
+    path = str(tmp_path / "ev.jsonl")
+    write_events_jsonl(make_events("ABCABC"), path)
+    assert main(["analyze", path, "--dr", "nan"]) == 1
+    assert capsys.readouterr().err == "coverwin: dr must be positive\n"
+
+
+def test_analyze_takes_an_infinite_decay(tmp_path, capsys):
+    """ct - inf is clamped to the floor mt, so every record stays valid JSON."""
+    events, _ = driftgen.generate(driftgen.builtin_scenario("sudden"))
+    path, windows = str(tmp_path / "ev.jsonl"), tmp_path / "win.jsonl"
+    write_events_jsonl(events, path)
+    assert main(["analyze", path, "--dr", "inf", "--windows-out", str(windows)]) == 0
+    assert "windows=" in capsys.readouterr().out
+
+    def refuse(name):
+        raise AssertionError(f"{name} in a window record")
+
+    for line in windows.read_text(encoding="utf-8").splitlines():
+        assert json.loads(line, parse_constant=refuse)["threshold"] >= 0.5
 
 
 def test_analyze_missing_file_fails(capsys):
@@ -574,6 +599,22 @@ def connect(port, seconds=5.0):
             time.sleep(0.02)
 
 
+def drain(sock):
+    """Send a line without the event fields and wait for its ERR reply.
+
+    The listener answers a bad line only after it has windowed every earlier
+    line of the connection, so the reply means that all of them are in.
+    """
+    sock.settimeout(5.0)
+    sock.sendall(b'{"drain":true}\n')
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = sock.recv(4096)
+        assert chunk, "the listener closed the connection"
+        reply += chunk
+    assert reply.startswith(b"ERR missing_field"), reply
+
+
 def test_listen_ingests_until_stopped(tmp_path, capsys):
     windows_path = str(tmp_path / "win.jsonl")
     parser, _ = build_parsers()
@@ -601,7 +642,7 @@ def test_listen_ingests_until_stopped(tmp_path, capsys):
                 for ev in make_events("AAAAAA", case_id="c")
             )
             sock.sendall(payload.encode("utf-8"))
-            time.sleep(0.3)  # let the consumer drain before stopping
+            drain(sock)
     finally:
         stop.set()
         th.join(timeout=5.0)
@@ -641,6 +682,94 @@ def test_listen_writes_each_record_as_it_closes(tmp_path):
         th.join(timeout=5.0)
     assert not th.is_alive()
     assert [parse_window_record(line).size for line in live.splitlines()] == [5]
+
+
+@st.composite
+def listen_sessions(draw):
+    """An ordered JSONL stream, as 1-3 connections of randomly cut sends.
+
+    Connections end at line ends; a send may end anywhere, also inside a
+    line or inside a multi-byte character.
+    """
+    size = draw(st.integers(0, 80))  # drawn lists are mostly a few items long
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("c1", "c2", "c3")),
+                st.sampled_from(("A", "B", "C", "D", "\u00c4", "\u5ba1\u6279")),
+                st.one_of(st.integers(0, 3), st.integers(0, 900_000)),
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    lines, ts = [], draw(st.integers(0, 2**41))
+    for case_id, activity, gap in steps:
+        ts += gap
+        event = {"case": case_id, "activity": activity, "timestamp": ts}
+        lines.append(json.dumps(event, ensure_ascii=False) + "\n")
+    ends = draw(st.lists(st.integers(0, len(lines)), max_size=2))
+    connections = []
+    for lo, hi in zip([0, *sorted(ends)], [*sorted(ends), len(lines)]):
+        data = "".join(lines[lo:hi]).encode("utf-8")
+        cuts = sorted(set(draw(st.lists(st.integers(0, len(data)), max_size=8))))
+        connections.append([data[a:b] for a, b in zip([0, *cuts], [*cuts, len(data)])])
+    return "".join(lines), connections
+
+
+def outputs_of(argv, windows, sizes, run):
+    """Windows bytes, sizes bytes and stdout of ``run(args)`` on ``argv``."""
+    args = build_parsers()[0].parse_args(
+        [*argv, "--windows-out", windows, "--sizes-csv", sizes]
+    )
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert run(args) == 0
+    return Path(windows).read_bytes(), Path(sizes).read_bytes(), stdout.getvalue()
+
+
+def listen_to(connections):
+    """A ``run`` for ``outputs_of`` that feeds ``connections`` to ``cmd_listen``."""
+
+    def run(args):
+        stop = threading.Event()
+        result: list[int] = []
+        th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
+        th.start()
+        try:
+            for sends in connections:
+                with connect(args.port) as sock:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    for data in sends:
+                        sock.sendall(data)
+                        time.sleep(0.001)  # let the listener read each send
+                    drain(sock)
+        finally:
+            stop.set()
+            th.join(timeout=5.0)
+        assert not th.is_alive()
+        return result[0]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--strategy", "adaptive"), ("--strategy", "count_tumbling", "--count", "20")],
+)
+# each listen run waits up to 0.5 s in stop() for serve_forever's poll
+@settings(max_examples=3, deadline=None)
+@given(session=listen_sessions())
+def test_listen_writes_what_analyze_writes_for_the_same_events(flags, session):
+    text, connections = session
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "events.jsonl")
+        Path(path).write_text(text, encoding="utf-8")
+        windows, sizes = os.path.join(workdir, "w.jsonl"), os.path.join(workdir, "s.csv")
+        analyze = ["analyze", path, *flags]
+        analyzed = outputs_of(analyze, windows, sizes, lambda args: args.func(args))
+        argv = ["listen", "--port", str(free_port()), "--quiet", *flags]
+        assert outputs_of(argv, windows, sizes, listen_to(connections)) == analyzed
 
 
 def test_console_script_is_installed(tmp_path):

@@ -21,7 +21,8 @@ A change that is meant to alter these outputs regenerates the digests with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and says in CHANGES.md which outputs moved and why.
+which prints the keys it changed, added and removed, and says in
+CHANGES.md which outputs moved and why.
 """
 
 from __future__ import annotations
@@ -221,7 +222,29 @@ def test_help_matches_golden_digests():
     assert got == {name: golden[name] for name in got}
 
 
+def digest_changes(old: dict, new: dict) -> dict[str, list[str]]:
+    """The keys of ``new`` that differ from ``old``, are new, or are gone."""
+    return {
+        "changed": sorted(k for k in new.keys() & old.keys() if new[k] != old[k]),
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+    }
+
+
+def test_digest_changes_names_each_moved_key():
+    old = {"a": {"x": "1"}, "b": {"x": "2"}, "c": {"x": "3"}}
+    new = {"a": {"x": "1"}, "b": {"x": "9"}, "d": {"x": "4"}}
+    assert digest_changes(old, new) == {
+        "changed": ["b"],
+        "added": ["d"],
+        "removed": ["c"],
+    }
+    assert digest_changes(old, old) == {"changed": [], "added": [], "removed": []}
+
+
 def regenerate() -> None:
+    """Rewrite the golden file and report which keys moved against the old one."""
+    old = load_golden() if os.path.exists(GOLDEN) else {}
     digests: dict[str, dict[str, object]] = {}
     with tempfile.TemporaryDirectory() as workdir:
         for scenario in (*SMALL_SCENARIOS, "throughput"):
@@ -233,6 +256,10 @@ def regenerate() -> None:
         json.dump(digests, fp, indent=1, sort_keys=True)
         fp.write("\n")
     print(f"wrote {len(digests)} runs to {GOLDEN}", file=sys.stderr)
+    for kind, keys in digest_changes(old, digests).items():
+        print(f"{kind}: {len(keys)}", file=sys.stderr)
+        for key in keys:
+            print(f"  {key}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -715,6 +715,22 @@ def test_events_enqueued_after_stop_are_counted_as_dropped():
     assert (stats.received, stats.delivered, stats.dropped) == (3, 1, 2)
 
 
+def test_a_bad_line_is_counted_in_the_step_that_windows_its_batch():
+    def on_event(event):
+        if event.activity == "B":
+            raise RuntimeError("sink failed")
+
+    server = StreamServer(on_event, port=0)
+    # the batch before a bad line raised in on_event: the bad line still counts
+    with pytest.raises(RuntimeError):
+        server._deliver([Event("c", "A", 1), Event("c", "B", 2)], parse_error=True)
+    assert server._deliver([], parse_error=True) == 0
+    stats = server.stop()
+    # a bad line that arrives after stop() is counted too
+    assert server._deliver([Event("c", "C", 3)], parse_error=True) == 0
+    assert stats == ServerStats(received=3, delivered=1, dropped=2, parse_errors=3)
+
+
 def test_server_answers_a_line_over_the_cap_once_and_goes_on():
     got = []
     server = StreamServer(got.append, port=0)

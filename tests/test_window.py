@@ -64,6 +64,8 @@ def test_threshold_defaults():
         {"dr": 0.0},
         {"delta": 0.0},
         {"w": 1},
+        {"dr": math.nan},
+        {"delta": math.nan},
     ],
 )
 def test_threshold_validation(kwargs):

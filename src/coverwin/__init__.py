@@ -7,7 +7,7 @@ shape of the coverage curve.  Fixed count/time/landmark windows, a
 drift-aware stream generator and a benchmark harness ship alongside.
 """
 
-from .abundance import AbundanceStats, Estimates, chao1, completeness, coverage, estimates
+from .abundance import AbundanceStats, coverage, estimates
 from .baselines import BaselineConfig, BaselineWindow
 from .driftgen import DriftAnnotations, DriftSpec, VariantPool, generate
 from .stream_io import (
@@ -31,7 +31,6 @@ __all__ = [
     "BaselineWindow",
     "DriftAnnotations",
     "DriftSpec",
-    "Estimates",
     "Event",
     "OrderingError",
     "ParseError",
@@ -43,8 +42,6 @@ __all__ = [
     "VariantPool",
     "ViewConfig",
     "WindowRecord",
-    "chao1",
-    "completeness",
     "coverage",
     "estimates",
     "generate",

@@ -9,23 +9,11 @@ count of the observed species alone, which keeps ``observe`` O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Estimates:
-    """Snapshot of the three estimators taken from one consistent state."""
-
-    chao1: float
-    completeness: float
-    coverage: float
-
 
 class AbundanceStats:
     """Species counts for one open window.
 
     Single-writer: exactly one stream pipeline mutates an instance.
-    ``Estimates`` snapshots are plain values and stay valid after reset.
     """
 
     __slots__ = ("n", "counts", "f1", "f2")
@@ -68,25 +56,6 @@ class AbundanceStats:
         self.f2 = 0
 
 
-def chao1(stats: AbundanceStats) -> float:
-    """Chao1 lower-bound estimate of the total number of species.
-
-    s_n + f1^2 / (2 f2), falling back to the bias-corrected form
-    s_n + f1 (f1 - 1) / 2 when no doubletons exist.  An empty sample
-    estimates zero species.
-    """
-    return _estimate_tuple(stats)[0]
-
-
-def completeness(stats: AbundanceStats) -> float:
-    """Fraction of the estimated species richness already observed.
-
-    s_n / chao1, which is 1.0 exactly when no singletons remain.  Empty
-    sample convention: 0.0.
-    """
-    return _estimate_tuple(stats)[1]
-
-
 def coverage(stats: AbundanceStats) -> float:
     """Estimated probability that the next observation is a known species.
 
@@ -113,13 +82,14 @@ def coverage(stats: AbundanceStats) -> float:
     return value if value > 0.0 else 0.0
 
 
-def estimates(stats: AbundanceStats) -> Estimates:
-    """All three estimators from one state, computed together."""
-    return Estimates(*_estimate_tuple(stats))
+def estimates(stats: AbundanceStats) -> tuple[float, float, float]:
+    """``(chao1, completeness, coverage)`` from one state, chao1 evaluated once.
 
-
-def _estimate_tuple(stats: AbundanceStats) -> tuple[float, float, float]:
-    """The values of ``estimates`` as a plain tuple, chao1 evaluated once."""
+    chao1, the lower bound on the number of species, is s_n + f1^2 / (2 f2),
+    or the bias-corrected s_n + f1 (f1 - 1) / 2 when no doubletons exist.
+    completeness, the observed share of that richness, is s_n / chao1: 1.0
+    exactly when no singletons remain.  An empty sample gives all zeros.
+    """
     if stats.n == 0:
         return 0.0, 0.0, 0.0
     s_n = len(stats.counts)

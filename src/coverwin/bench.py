@@ -11,8 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import fsum
-from statistics import fmean, linear_regression, median, pstdev, quantiles, stdev
+from statistics import correlation, fmean, median, pstdev, quantiles, stdev
 from typing import Callable, Iterable, Sequence
 
 from .driftgen import VariantPool, case_number
@@ -217,11 +216,8 @@ def _time_one_window(events: Sequence[Event]) -> float:
         SpeciesView(ViewConfig()), ThresholdState(), min_window_size=len(events)
     )
     start = time.perf_counter()
-    record = None
     for event in events:
         record = window.process_event(event)
-        if record is not None:
-            break
     if record is None:
         window.flush()
     return time.perf_counter() - start
@@ -249,17 +245,12 @@ def measure_latency(sizes: Sequence[int], trials: int = 7) -> list[LatencyRow]:
 
 
 def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """R^2 of the least-squares line through (xs, ys)."""
+    """R^2 of the least-squares line through (xs, ys), the squared correlation."""
     if len(set(xs)) < 2:
         raise ValueError("a line fit needs at least two distinct x values")
-    slope, intercept = linear_regression(xs, ys)
-    mean_y = fmean(ys)
-    ss_tot = fsum((y - mean_y) ** 2 for y in ys)
-    ss_res = fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    if ss_tot == 0.0:
-        # flat target: the fit is perfect up to float noise in the regression
-        return 1.0 if ss_res <= 1e-12 * max(1.0, fsum(y * y for y in ys)) else 0.0
-    return 1.0 - ss_res / ss_tot
+    if len(set(ys)) < 2:
+        return 1.0  # a flat target is fitted exactly
+    return correlation(xs, ys) ** 2
 
 
 @dataclass(frozen=True)

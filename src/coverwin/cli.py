@@ -272,13 +272,11 @@ class _RecordWriter:
     """Streams closed windows to the configured outputs as they happen.
 
     Keeps running aggregates for the run summary instead of the records,
-    so memory does not grow with the stream.  ``live`` line-buffers the
-    windows file, so a reader tailing it sees each record as it closes.
+    so memory does not grow with the stream.  No output file is touched
+    before ``open_outputs``, so a run that cannot start leaves them as they were.
     """
 
-    def __init__(
-        self, args: argparse.Namespace, verbose: bool, live: bool = False
-    ) -> None:
+    def __init__(self, verbose: bool) -> None:
         self.verbose = verbose
         self.windows = 0
         self._size_sum = 0
@@ -287,6 +285,12 @@ class _RecordWriter:
         # 0 + c0 + c1 + ..., the order and start value of sum()
         self._coverage_sum = 0
         self._forced = 0
+        self._windows_fp: TextIO | None = None
+        self._sizes_fp: TextIO | None = None
+
+    def open_outputs(self, args: argparse.Namespace, live: bool = False) -> None:
+        """Truncate the files ``args`` names.  ``live`` line-buffers the
+        windows file, so a reader tailing it sees each record as it closes."""
         self._windows_fp = (
             open(args.windows_out, "w", encoding="utf-8", buffering=1 if live else -1)
             if args.windows_out
@@ -384,15 +388,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         stats.observe(species)
     counts = _line(n=stats.n, species=stats.s_n, f1=stats.f1, f2=stats.f2)
     totals = _line(events=replay_stats.delivered, dropped=replay_stats.dropped)
-    print(counts, _line(**asdict(estimates(stats))), totals)
+    chao1, completeness, coverage = estimates(stats)
+    estimated = _line(chao1=chao1, completeness=completeness, coverage=coverage)
+    print(counts, estimated, totals)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     source = _make_source(args)
     strategy = _make_strategy(args)
-    writer = _RecordWriter(args, verbose=args.verbose)
+    writer = _RecordWriter(verbose=args.verbose)
+    # a missing or unreadable input fails here, before the outputs are truncated
+    open(source.path, "rb").close()
     try:
+        writer.open_outputs(args)
         replay_stats = replay(source, writer.sink(strategy))
         writer.flush(strategy)
     finally:
@@ -512,7 +521,7 @@ def cmd_listen(
     args: argparse.Namespace, stop_event: threading.Event | None = None
 ) -> int:
     strategy = _make_strategy(args)
-    writer = _RecordWriter(args, verbose=not args.quiet, live=True)
+    writer = _RecordWriter(verbose=not args.quiet)
     try:
         server = StreamServer(
             writer.sink(strategy),
@@ -527,10 +536,11 @@ def cmd_listen(
         stop_event = threading.Event()
         for signum in (signal.SIGINT, signal.SIGTERM):
             signal.signal(signum, lambda *_: stop_event.set())
-    server.start()
-    host, port = server.address
-    print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
     try:
+        writer.open_outputs(args, live=True)
+        server.start()
+        host, port = server.address
+        print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
         stop_event.wait()
     finally:
         stats = server.stop()
@@ -643,6 +653,10 @@ def build_parsers() -> tuple[
     b.add_argument("--after", type=int, default=20, help="windows after the drift")
     _add_view_flags(b)
     _add_strategy_flags(b)
+    # The default 60 s time_tumbling window leaves the small scenarios 15-26
+    # windows, too few for the default span of 10 windows before the drift
+    # and 20 from it; 15 s gives each of them 60 or more.
+    b.set_defaults(duration=15_000)
     _add_outdir_flag(b, "window_sizes.csv and drift_report.csv")
 
     b = command(

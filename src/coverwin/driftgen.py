@@ -88,10 +88,7 @@ class VariantPool:
 
 
 def make_pool(
-    *sequences: str,
-    weights: tuple[float, ...] | None = None,
-    inter_event_gap: int = 1000,
-    inter_case_gap: int = 1000,
+    *sequences: str, weights: tuple[float, ...] | None = None, **gaps: int
 ) -> VariantPool:
     """Pool from compact variant strings, one character per activity."""
     if weights is None:
@@ -99,7 +96,7 @@ def make_pool(
     variants = tuple(
         (tuple(seq), weight) for seq, weight in zip(sequences, weights, strict=True)
     )
-    return VariantPool(variants, inter_event_gap, inter_case_gap)
+    return VariantPool(variants, **gaps)
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,8 @@ class _TcpServer(socketserver.ThreadingTCPServer):
 _READ_SIZE = 65536
 # longest line the listener takes, in bytes before its newline
 _MAX_LINE = 1 << 20
+# seconds between serve_forever's checks for shutdown: how long stop() waits at most
+_POLL_SECONDS = 0.05
 
 
 def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
@@ -364,7 +366,7 @@ class StreamServer:
         self._server = _TcpServer((host, port), _StreamHandler)
         self._server.owner = self
         self._serve_thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever, args=(_POLL_SECONDS,), daemon=True
         )
 
     @property

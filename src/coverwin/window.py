@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .abundance import AbundanceStats, _estimate_tuple, coverage as coverage_of
+from .abundance import AbundanceStats, coverage as coverage_of, estimates
 from .views import Event, SpeciesView
 
 CT_CEILING = 0.99
@@ -205,7 +205,7 @@ class Windower:
 
     def _close(self, force: bool) -> WindowRecord:
         events = self._buffer
-        chao1, completeness, coverage = _estimate_tuple(self._stats)
+        chao1, completeness, coverage = estimates(self._stats)
         record = WindowRecord(
             self.windows_closed,
             tuple(events),

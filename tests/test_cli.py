@@ -175,7 +175,8 @@ def test_analyze_verbose_prints_window_lines(tmp_path, capsys):
 def test_record_writer_keeps_no_record(tmp_path, capsys):
     sizes_path = str(tmp_path / "sizes.csv")
     args = argparse.Namespace(windows_out=None, sizes_csv=sizes_path)
-    writer = _RecordWriter(args, verbose=False)
+    writer = _RecordWriter(verbose=False)
+    writer.open_outputs(args)
     events = tuple(make_events("AB"))
     record = WindowRecord(0, events, 2, 0, 1000, 0.5, 0.5, 2.0, 0.9)
     ref = weakref.ref(record)
@@ -188,7 +189,9 @@ def test_record_writer_keeps_no_record(tmp_path, capsys):
     assert "windows=1 mean_size=2 min_size=2 max_size=2" in capsys.readouterr().out
     header = ["index", "size", "first_ts", "last_ts", "coverage", "threshold"]
     assert read_csv(sizes_path) == [header, ["0", "2", "0", "1000", "0.5", "0.9"]]
-    _RecordWriter(args, verbose=False).close()
+    writer = _RecordWriter(verbose=False)
+    writer.open_outputs(args)
+    writer.close()
     assert read_csv(sizes_path) == [header]
 
 
@@ -228,6 +231,22 @@ def test_analyze_takes_an_infinite_decay(tmp_path, capsys):
 def test_analyze_missing_file_fails(capsys):
     assert main(["analyze", "/nonexistent/ev.jsonl"]) == 1
     assert "coverwin:" in capsys.readouterr().err
+
+
+def outputs_holding_data(tmp_path):
+    """``--windows-out`` and ``--sizes-csv`` naming files of an earlier run."""
+    windows, sizes = tmp_path / "w.jsonl", tmp_path / "s.csv"
+    windows.write_bytes(b'{"index":0,"size":7}\n')
+    sizes.write_bytes(b"index,size\r\n0,7\r\n")
+    return ["--windows-out", str(windows), "--sizes-csv", str(sizes)], (windows, sizes)
+
+
+def test_analyze_of_a_missing_file_leaves_the_outputs(tmp_path, capsys):
+    flags, paths = outputs_holding_data(tmp_path)
+    before = [p.read_bytes() for p in paths]
+    assert main(["analyze", str(tmp_path / "missing.jsonl"), *flags]) == 1
+    assert "coverwin: [Errno 2] No such file or directory" in capsys.readouterr().err
+    assert [p.read_bytes() for p in paths] == before
 
 
 def test_analyze_rejects_out_of_order(tmp_path, capsys):
@@ -682,6 +701,19 @@ def test_listen_writes_each_record_as_it_closes(tmp_path):
         th.join(timeout=5.0)
     assert not th.is_alive()
     assert [parse_window_record(line).size for line in live.splitlines()] == [5]
+
+
+def test_listen_on_a_taken_port_leaves_the_outputs(tmp_path, capsys):
+    flags, paths = outputs_holding_data(tmp_path)
+    before = [p.read_bytes() for p in paths]
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = str(taken.getsockname()[1])
+        args = build_parsers()[0].parse_args(["listen", "--port", port, *flags])
+        assert cmd_listen(args, threading.Event()) == 1
+    assert "listen: cannot bind" in capsys.readouterr().err
+    assert [p.read_bytes() for p in paths] == before
 
 
 @st.composite

@@ -12,10 +12,9 @@ strategy, ``bench compare`` with the default seed and with ``--seed 3``
 and ``estimate`` under each view: exit code, stdout, stderr and every file
 written to ``--outdir``.  It also pins the ``--help`` of every parser at
 80 columns, as this Python's argparse formats them (3.11; later versions
-format some lines differently).  ``bench drift`` exits 1 under
-``time_tumbling`` on every scenario but ``gradual``, as it has too few
-windows after the drift; its error message is pinned like any other
-output.
+format some lines differently).  ``bench drift`` runs ``time_tumbling``
+with its own 15 s ``--duration`` default, which gives every small
+scenario the windows that the default span around the drift needs.
 
 A change that is meant to alter these outputs regenerates the digests with
 

@@ -1,10 +1,11 @@
 """Metamorphic relations of the whole windowing pipeline.
 
 Each relation changes the input stream in a way that must leave the
-windows as they were: a one-to-one renaming of activities, a constant
-added to every timestamp, and, under activity 1-grams, any reassignment
-of events to cases.  Every run goes through ``bench.run_stream``, for the
-adaptive window and for count_tumbling, and compares per window
+windows as they were: a one-to-one renaming of activities or of case ids,
+a constant added to every timestamp, and, under activity 1-grams, any
+reassignment of events to cases.  Every run goes through
+``bench.run_stream``, for the adaptive window and for count_tumbling, and
+compares per window
 ``(size, coverage, completeness, chao1, threshold, force_closed)``.
 """
 
@@ -94,6 +95,27 @@ def stats_of(events: list[Event], views=VIEWS) -> dict[tuple, list[tuple]]:
 def test_renaming_activities_one_to_one_keeps_the_windows(stream, names):
     rename = dict(zip(ACTIVITIES, names))
     renamed = [Event(e.case_id, rename[e.activity], e.timestamp) for e in stream]
+    assert stats_of(renamed) == stats_of(stream)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    stream=streams(),
+    # a shuffle of the same ids, or new ids of which some share a first
+    # letter or differ only in letter case
+    names=st.one_of(
+        st.permutations(CASES),
+        st.lists(
+            st.text("cxX1", min_size=1, max_size=3),
+            min_size=len(CASES),
+            max_size=len(CASES),
+            unique=True,
+        ),
+    ),
+)
+def test_renaming_case_ids_one_to_one_keeps_the_windows(stream, names):
+    rename = dict(zip(CASES, names))
+    renamed = [Event(rename[e.case_id], e.activity, e.timestamp) for e in stream]
     assert stats_of(renamed) == stats_of(stream)
 
 

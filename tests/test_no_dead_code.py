@@ -1,10 +1,12 @@
-"""Every module-level name in ``src/coverwin`` has a use.
+"""Every module-level name and class member in ``src/coverwin`` has a use.
 
 Each top-level function, class and constant of ``src/coverwin/*.py`` must
 be referenced again in ``src/coverwin/`` or ``perfbench/`` (as a name, an
 attribute, or a string such as perfbench's patch points), or be exported
-in ``coverwin.__all__``.  Tests do not count as a use: code kept only for
-its tests is listed below with the reason it stays.
+in ``coverwin.__all__``.  Each method and property of a top-level class,
+dunders excluded, must be referenced there by its name.  Tests do not
+count as a use: code kept only for its tests is listed below with the
+reason it stays.
 """
 
 from __future__ import annotations
@@ -25,6 +27,17 @@ ALLOWED = {
     "round trip",
     "read_annotations": "inverse of write_annotations for the sidecar round trip",
 }
+ALLOWED_MEMBERS = {
+    "Windower.buffer_size": "tests read the open window's size through it, and "
+    "live window counters will report it",
+    "AdaptiveWindow.coverage_history": "tests read the open window's coverage "
+    "curve through it, and a per-window curve trace will write it",
+    "_StreamHandler.handle": "socketserver calls it for each connection",
+}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _parse(path: str) -> ast.Module:
@@ -42,7 +55,19 @@ def defined_names(tree: ast.Module) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not _dunder(n)]
+
+
+def class_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) for the methods and properties of top-level classes."""
+    return [
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not _dunder(item.name)
+    ]
 
 
 def references(tree: ast.Module) -> Counter:
@@ -58,14 +83,28 @@ def references(tree: ast.Module) -> Counter:
     return seen
 
 
-def unused_names() -> set[str]:
+def used_names() -> Counter:
     used: Counter = Counter()
     for path in CALLERS:
         used += references(_parse(path))
+    return used
+
+
+def unused_names() -> set[str]:
+    used = used_names()
     defined = {name for path in SRC for name in defined_names(_parse(path))}
     return {n for n in defined if not used[n] and n not in coverwin.__all__}
+
+
+def unused_members() -> set[str]:
+    used = used_names()
+    members = {m for path in SRC for m in class_members(_parse(path))}
+    return {f"{cls}.{name}" for cls, name in members if not used[name]}
 
 
 def test_every_module_level_name_has_a_caller():
     assert unused_names() == set(ALLOWED)
 
+
+def test_every_class_member_has_a_caller():
+    assert unused_members() == set(ALLOWED_MEMBERS)

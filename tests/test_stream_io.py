@@ -913,3 +913,16 @@ def test_stop_without_start_returns():
     stopper.start()
     stopper.join(5.0)
     assert not stopper.is_alive()
+
+
+def test_stop_returns_promptly_after_a_client_leaves():
+    # serve_forever notices shutdown() only when its poll times out
+    server = StreamServer(lambda e: None, port=0)
+    server.start()
+    try:
+        send_and_close(server.address, [event_line("c", "A", 1)])
+    finally:
+        start = time.perf_counter()
+        server.stop()
+        took = time.perf_counter() - start
+    assert took < 0.2

@@ -22,7 +22,6 @@ from coverwin import (
     AdaptiveWindow,
     BaselineConfig,
     BaselineWindow,
-    Estimates,
     Event,
     SpeciesView,
     ThresholdState,
@@ -445,7 +444,7 @@ def test_record_estimates_are_those_of_its_own_activities(pairs, strategy):
         stats = AbundanceStats()
         for ev in r.events:
             stats.observe(ev.activity)
-        assert Estimates(r.chao1, r.completeness, r.coverage) == estimates(stats)
+        assert (r.chao1, r.completeness, r.coverage) == estimates(stats)
 
 
 STRATEGIES = {

@@ -70,18 +70,6 @@ def _write_table(outdir: str, name: str, rows: Sequence) -> None:
     write_metrics_csv(_outpath(outdir, name), header, [_cells(astuple(r)) for r in rows])
 
 
-def _speed(text: str) -> float | None:
-    if text == "max":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a speed: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("speed must be positive")
-    return value
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -108,12 +96,6 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
         "--lenient",
         action="store_true",
         help="drop and count out-of-order events instead of failing",
-    )
-    p.add_argument(
-        "--speed",
-        type=_speed,
-        default="max",
-        help="replay pacing: 'max' or a multiplier of real time",
     )
 
 
@@ -221,7 +203,6 @@ def _make_source(args: argparse.Namespace) -> SourceConfig:
     return SourceConfig(
         kind=_source_kind(args.file, args.format),
         path=args.file,
-        replay_speed=args.speed,
         strict_order=not args.lenient,
     )
 
@@ -529,7 +510,7 @@ def cmd_listen(
             port=args.port,
             strict_order=not args.lenient,
         )
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         print(f"listen: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
     if stop_event is None:
@@ -698,7 +679,7 @@ def build_parsers() -> tuple[
 def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` file; # starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8-sig") as fp:
         for line_no, raw in enumerate(fp, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -255,7 +255,7 @@ def spec_from_json(path: str) -> DriftSpec:
     "inter_case_gap"}], plus the kind-specific fields drift_position,
     ramp_interval, season_length, increments}.
     """
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8-sig") as fp:
         obj = json.load(fp)
     pools = []
     gap_keys = ("inter_event_gap", "inter_case_gap")

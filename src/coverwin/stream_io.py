@@ -16,7 +16,6 @@ import csv
 import json
 import socketserver
 import threading
-import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _quote
@@ -149,16 +148,10 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Which event file to replay and how strictly to treat its order.
-
-    ``replay_speed`` of None replays as fast as possible; a positive
-    multiplier paces delivery against the event timestamps (1.0 is
-    real time).
-    """
+    """Which event file to replay and how strictly to treat its order."""
 
     kind: str
     path: str = ""
-    replay_speed: float | None = None
     strict_order: bool = True
 
     def __post_init__(self) -> None:
@@ -166,21 +159,12 @@ class SourceConfig:
             raise ValueError(f"unknown source kind: {self.kind!r}")
         if not self.path:
             raise ValueError("file sources need a path")
-        if self.replay_speed is not None and self.replay_speed <= 0:
-            raise ValueError("replay_speed must be positive")
 
 
 @dataclass
 class ReplayStats:
     delivered: int = 0
     dropped: int = 0
-    wall_seconds: float = 0.0
-
-    @property
-    def events_per_sec(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.delivered / self.wall_seconds
 
 
 def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
@@ -188,15 +172,14 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
 
     Strict ordering raises OrderingError on the first timestamp
     regression; lenient ordering drops and counts regressing events.
-    Blank lines are skipped; the CSV header row is required.
+    Blank lines and a leading UTF-8 byte order mark are skipped; the CSV
+    header row is required.
     """
     fmt = source.kind
     stats = ReplayStats()
     last_ts: int | None = None
-    first_ts: int | None = None
-    wall_start = time.perf_counter()
     header_seen = fmt != FILE_CSV
-    with open(source.path, encoding="utf-8", newline="") as fp:
+    with open(source.path, encoding="utf-8-sig", newline="") as fp:
         for line_no, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
@@ -220,18 +203,8 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
                 stats.dropped += 1
                 continue
             last_ts = event.timestamp
-            if source.replay_speed is not None:
-                if first_ts is None:
-                    first_ts = event.timestamp
-                due = wall_start + (event.timestamp - first_ts) / (
-                    1000.0 * source.replay_speed
-                )
-                delay = due - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
             sink(event)
             stats.delivered += 1
-    stats.wall_seconds = time.perf_counter() - wall_start
     return stats
 
 

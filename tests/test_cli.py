@@ -19,6 +19,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from dataclasses import asdict
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -27,9 +28,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import coverwin
 from coverwin import driftgen
-from coverwin.bench import run_stream
+from coverwin.baselines import BASELINE_KINDS, BaselineConfig
+from coverwin.bench import drift_adaptation_stats, first_window_at_case, run_stream
 from coverwin.cli import (
     SIZES_HEADER,
+    _line,
+    _make_source,
     _make_strategy,
     _RecordWriter,
     _sizes_line,
@@ -39,12 +43,14 @@ from coverwin.cli import (
     main,
 )
 from coverwin.stream_io import (
+    FILE_CSV,
+    SourceConfig,
     event_to_json_line,
     parse_window_record,
     write_events_jsonl,
 )
-from coverwin.views import VIEW_KINDS, Event
-from coverwin.window import WindowRecord
+from coverwin.views import VIEW_KINDS, Event, ViewConfig
+from coverwin.window import ThresholdState, WindowRecord
 
 from conftest import DATA_DIR, dumps_window_record, make_events
 
@@ -328,17 +334,16 @@ def test_driftgen_bad_spec_file(tmp_path, capsys):
 
 def test_driftgen_custom_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(
-        """
+    spec = """
         {"kind": "sudden", "total_cases": 6, "seed": 1, "drift_position": 0.5,
          "pools": [{"variants": [{"activities": ["a", "b"]}]},
                    {"variants": [{"activities": ["a", "c"]}]}]}
-        """,
-        encoding="utf-8",
-    )
+        """
     out = str(tmp_path / "ev.jsonl")
-    assert main(["driftgen", "--spec", str(spec_path), "--out", out]) == 0
-    assert "events=12 cases=6" in capsys.readouterr().out
+    for bom in ("", "\ufeff"):  # a leading byte order mark is not JSON
+        spec_path.write_text(bom + spec, encoding="utf-8")
+        assert main(["driftgen", "--spec", str(spec_path), "--out", out]) == 0
+        assert "events=12 cases=6" in capsys.readouterr().out
 
 
 # --- config files ---------------------------------------------------------------
@@ -352,6 +357,9 @@ def test_load_config_file(tmp_path):
     )
     values = load_config_file(str(cfg))
     assert values == {"count": "7", "min_window_size": "3", "view": "trace_variant"}
+    # a leading byte order mark is not part of the first key
+    cfg.write_text("\ufeffcount = 7\n", encoding="utf-8")
+    assert load_config_file(str(cfg)) == {"count": "7"}
 
 
 def test_load_config_file_rejects_bad_line(tmp_path):
@@ -595,6 +603,112 @@ def test_analyze_outputs_are_the_reference_text(tmp_path, scenario, view):
         assert sizes_path.read_bytes().decode("utf-8") == expected.getvalue()
 
 
+def test_the_file_path_reads_no_clock(tmp_path, capsys, monkeypatch):
+    """analyze and estimate write the same bytes with every clock refused:
+    their outputs are a function of the input file alone."""
+    events, _ = driftgen.generate(driftgen.builtin_scenario("sudden"))
+    path = str(tmp_path / "sudden.jsonl")
+    write_events_jsonl(events, path)
+    windows, sizes = tmp_path / "win.jsonl", tmp_path / "sizes.csv"
+    outputs = ["--windows-out", str(windows), "--sizes-csv", str(sizes)]
+
+    def run():
+        assert main(["analyze", path, *outputs]) == 0
+        assert main(["estimate", path]) == 0
+        return capsys.readouterr(), windows.read_bytes(), sizes.read_bytes()
+
+    unpatched = run()
+
+    def refuse(*args):
+        raise AssertionError("the file path read a clock")
+
+    for name in ("perf_counter", "monotonic", "time", "sleep"):
+        monkeypatch.setattr(time, name, refuse)
+    assert run() == unpatched
+
+
+# --- every flag reaches what it configures ---------------------------------------
+
+# a non-default value for each rule and view flag
+RULE_FLAGS = [
+    *("--ct0", "0.8", "--sf0", "0.3", "--dr", "0.2", "--mt", "0.6"),
+    *("--delta", "0.02", "--stagnation-window", "7", "--min-window-size", "9"),
+    *("--count", "11", "--duration", "2222", "--landmark-activity", "B"),
+]
+VIEW_FLAGS = ["--view", "directly_follows", "--ngram", "3", "--case-timeout", "1234"]
+
+
+def parse(argv):
+    return build_parsers()[0].parse_args(argv)
+
+
+def reaches_the_strategy(tmp_path, capsys):
+    threshold = ThresholdState(ct=0.8, sf=0.3, dr=0.2, mt=0.6, delta=0.02, w=7)
+    for command in (
+        ["analyze", "x"], ["bench", "throughput", "x"], ["bench", "drift"], ["listen"]
+    ):
+        for name in ("adaptive", *BASELINE_KINDS):
+            argv = [*command, "--strategy", name, *RULE_FLAGS, *VIEW_FLAGS]
+            windower = _make_strategy(parse(argv))
+            assert windower.view.config == ViewConfig("directly_follows", 3, 1234)
+            if name == "adaptive":
+                assert windower.threshold == threshold
+                assert windower.min_window_size == 9
+            else:
+                assert windower.config == BaselineConfig(name, 11, 2222, "B")
+
+
+def reaches_the_source(tmp_path, capsys):
+    # by its extension alone, a .log file would be read as JSON lines
+    for command in (["analyze"], ["estimate"], ["bench", "throughput"]):
+        args = parse([*command, "ev.log", "--format", "csv", "--lenient"])
+        expected = SourceConfig(FILE_CSV, "ev.log", strict_order=False)
+        assert _make_source(args) == expected
+
+
+def reaches_the_drift_span(tmp_path, capsys):
+    argv = ["bench", "drift", "--scenario", "sudden", "--before", "5", "--after", "8"]
+    assert main(argv) == 0
+    events, annotations = driftgen.generate(driftgen.builtin_scenario("sudden"))
+    records = run_stream(events, _make_strategy(parse(["bench", "drift"])))
+    drift_window = first_window_at_case(records, annotations.drift_case_indices[0])
+    sizes = [r.size for r in records]
+    report = drift_adaptation_stats(sizes, drift_window, before=5, after=8)
+    assert capsys.readouterr().out == _line(windows=len(sizes), **asdict(report)) + "\n"
+
+
+def reaches_the_output_format(tmp_path, capsys):
+    out = tmp_path / "ev.txt"  # by its extension alone, JSON lines
+    argv = ["driftgen", "--scenario", "steady3", "--out", str(out)]
+    assert main([*argv, "--out-format", "csv"]) == 0
+    assert out.read_bytes().startswith(b"case_id,activity,timestamp\r\n")
+
+
+def reaches_the_annotations_path(tmp_path, capsys):
+    out, sidecar = tmp_path / "ev.jsonl", tmp_path / "truth.json"
+    argv = ["driftgen", "--scenario", "steady3", "--out", str(out)]
+    assert main([*argv, "--annotations", str(sidecar)]) == 0
+    assert "pool_per_case" in json.loads(sidecar.read_text(encoding="utf-8"))
+    assert not os.path.exists(f"{out}.annotations.json")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        reaches_the_strategy,
+        reaches_the_source,
+        reaches_the_drift_span,
+        reaches_the_output_format,
+        reaches_the_annotations_path,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_every_flag_reaches_what_it_configures(tmp_path, capsys, check):
+    """A non-default value of each flag reaches the object it configures.
+    The golden digests run default flags, so they cannot see a flag dropped."""
+    check(tmp_path, capsys)
+
+
 # --- listen ----------------------------------------------------------------------
 
 
@@ -703,16 +817,17 @@ def test_listen_writes_each_record_as_it_closes(tmp_path):
     assert [parse_window_record(line).size for line in live.splitlines()] == [5]
 
 
-def test_listen_on_a_taken_port_leaves_the_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("port", [None, 70000, -1], ids=["taken", "70000", "-1"])
+def test_listen_on_a_taken_port_leaves_the_outputs(tmp_path, capsys, port):
     flags, paths = outputs_holding_data(tmp_path)
     before = [p.read_bytes() for p in paths]
     with socket.socket() as taken:
         taken.bind(("127.0.0.1", 0))
         taken.listen()
-        port = str(taken.getsockname()[1])
+        port = str(taken.getsockname()[1] if port is None else port)
         args = build_parsers()[0].parse_args(["listen", "--port", port, *flags])
         assert cmd_listen(args, threading.Event()) == 1
-    assert "listen: cannot bind" in capsys.readouterr().err
+    assert f"listen: cannot bind 127.0.0.1:{port}: " in capsys.readouterr().err
     assert [p.read_bytes() for p in paths] == before
 
 

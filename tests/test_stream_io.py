@@ -231,19 +231,20 @@ def test_source_config_validation():
         SourceConfig("nope")
     with pytest.raises(ValueError):
         SourceConfig(FILE_JSONL, path="")
-    with pytest.raises(ValueError):
-        SourceConfig(FILE_JSONL, path="x", replay_speed=0.0)
 
 
 def test_replay_jsonl_in_file_order(tmp_path):
     events = make_events("ABC")
-    path = str(tmp_path / "ev.jsonl")
-    write_events_jsonl(events, path)
-    got = []
-    stats = replay(SourceConfig(FILE_JSONL, path), got.append)
-    assert got == events
-    assert stats.delivered == 3
-    assert stats.dropped == 0
+    path = tmp_path / "ev.jsonl"
+    text = "".join(event_to_json_line(ev) + "\n" for ev in events)
+    # a leading UTF-8 byte order mark, as some editors write, is not part of line 1
+    for bom in ("", "\ufeff"):
+        path.write_text(bom + text, encoding="utf-8")
+        got = []
+        stats = replay(SourceConfig(FILE_JSONL, str(path)), got.append)
+        assert got == events
+        assert stats.delivered == 3
+        assert stats.dropped == 0
 
 
 def test_replay_skips_blank_lines(tmp_path):
@@ -265,10 +266,11 @@ def test_replay_csv_requires_header(tmp_path):
 
 def test_replay_csv_header_is_case_insensitive(tmp_path):
     path = tmp_path / "ev.csv"
-    path.write_text("Case_ID,ACTIVITY,Timestamp\nc1,pay,1\n", encoding="utf-8")
-    got = []
-    replay(SourceConfig(FILE_CSV, str(path)), got.append)
-    assert got == [Event("c1", "pay", 1)]
+    for bom in ("", "\ufeff"):  # a leading byte order mark is not in the header
+        path.write_text(bom + "Case_ID,ACTIVITY,Timestamp\nc1,pay,1\n", "utf-8")
+        got = []
+        replay(SourceConfig(FILE_CSV, str(path)), got.append)
+        assert got == [Event("c1", "pay", 1)]
 
 
 def test_replay_strict_rejects_regression(tmp_path):
@@ -297,15 +299,6 @@ def test_replay_allows_equal_timestamps(tmp_path):
     got = []
     replay(SourceConfig(FILE_JSONL, path), got.append)
     assert len(got) == 2
-
-
-def test_replay_paces_against_event_time(tmp_path):
-    # 200 ms of stream time at 2x speed needs at least ~100 ms of wall time
-    events = [Event("c", "A", 0), Event("c", "B", 200)]
-    path = str(tmp_path / "ev.jsonl")
-    write_events_jsonl(events, path)
-    stats = replay(SourceConfig(FILE_JSONL, path, replay_speed=2.0), lambda ev: None)
-    assert stats.wall_seconds >= 0.09
 
 
 # --- serialization round-trips ------------------------------------------------

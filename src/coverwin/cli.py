@@ -47,6 +47,7 @@ from .views import VIEW_KINDS, Event, SpeciesView, ViewConfig
 from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
 
 SIZES_HEADER = ("index", "size", "first_ts", "last_ts", "coverage", "threshold")
+_SEED_NOTE = "; incremental, steady3 and steady5 give the same events for every seed"
 
 
 def _cells(values: Iterable[object]) -> list[object]:
@@ -124,7 +125,9 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
         default="sudden",
         help="built-in scenario",
     )
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument(
+        "--seed", type=int, default=None, help="override the scenario seed" + _SEED_NOTE
+    )
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
@@ -169,25 +172,13 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_flags(p: argparse.ArgumentParser, verbose_flag: bool = True) -> None:
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--windows-out", default=None, metavar="FILE", help="write window records JSONL"
     )
     p.add_argument(
         "--sizes-csv", default=None, metavar="FILE", help="write per-window metrics CSV"
     )
-    if verbose_flag:
-        p.add_argument(
-            "--verbose",
-            action="store_true",
-            help="print a JSON summary of every closed window to stderr",
-        )
-    else:
-        p.add_argument(
-            "--quiet",
-            action="store_true",
-            help="suppress the per-window JSON lines on stderr",
-        )
 
 
 # --- shared construction ----------------------------------------------------
@@ -568,6 +559,11 @@ def build_parsers() -> tuple[
     _add_view_flags(p)
     _add_strategy_flags(p)
     _add_output_flags(p)
+    p.add_argument(
+        "--verbose",
+        action="store_true",
+        help="print a JSON summary of every closed window to stderr",
+    )
 
     p = command(subs, ("estimate",), cmd_estimate, "whole-file abundance estimates")
     _add_source_flags(p)
@@ -581,7 +577,9 @@ def build_parsers() -> tuple[
         help="built-in scenario",
     )
     p.add_argument("--spec", default=None, metavar="FILE", help="JSON drift spec")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument(
+        "--seed", type=int, default=None, help="override the spec seed" + _SEED_NOTE
+    )
     p.add_argument("--out", required=True, metavar="FILE", help="output event log")
     p.add_argument(
         "--out-format",
@@ -668,7 +666,12 @@ def build_parsers() -> tuple[
     )
     _add_view_flags(p)
     _add_strategy_flags(p)
-    _add_output_flags(p, verbose_flag=False)
+    _add_output_flags(p)
+    p.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress the per-window JSON lines on stderr",
+    )
 
     return parser, table
 

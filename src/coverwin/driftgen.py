@@ -239,14 +239,6 @@ def write_annotations(annotations: DriftAnnotations, path: str) -> None:
         fp.write("\n")
 
 
-def read_annotations(path: str) -> DriftAnnotations:
-    with open(path, encoding="utf-8") as fp:
-        obj = json.load(fp)
-    for key in ("drift_case_indices", "pool_per_case"):
-        obj[key] = tuple(obj[key])
-    return DriftAnnotations(**obj)
-
-
 def spec_from_json(path: str) -> DriftSpec:
     """Load a DriftSpec from its JSON description.
 

@@ -459,15 +459,6 @@ def window_record_to_json(record: WindowRecord) -> str:
     return f'{head},"events":[{events}]}}'
 
 
-def parse_window_record(line: str) -> WindowRecord:
-    """Inverse of window_record_to_json."""
-    obj = json.loads(line)
-    obj["events"] = tuple(
-        Event(e["case"], e["activity"], e["timestamp"]) for e in obj["events"]
-    )
-    return WindowRecord(**obj)
-
-
 def write_metrics_csv(
     path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:

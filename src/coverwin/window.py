@@ -277,10 +277,6 @@ class AdaptiveWindow(Windower):
         """Per-event coverage curve of the open window."""
         return tuple(self._history)
 
-    @property
-    def stats(self) -> AbundanceStats:
-        return self._stats
-
     def _is_complete(self) -> bool:
         cov = coverage_of(self._stats)
         h = self._history

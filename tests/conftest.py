@@ -1,9 +1,15 @@
-"""Shared fixtures and independent reference implementations.
+"""Shared fixtures, independent reference implementations and test-only rules.
 
 The reference functions below are deliberately written from the closed
 formulas, not by calling into the package, so that unit tests compare
 two separate derivations of the same quantity.  They were written and
 frozen before the production code was tested against them.
+
+Code that only tests need lives here too, not in the package:
+``parse_window_record``, the inverse of ``window_record_to_json`` for
+record round trips, and ``FloorOnlyWindow``, the adaptive close rule
+without its threshold, which shows where the adaptation moves a window
+boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from coverwin import (
     coverage,
     parse_event,
 )
-from coverwin.window import _next_threshold
+from coverwin.window import Windower, _next_threshold
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -95,6 +101,15 @@ def dumps_window_record(record: WindowRecord) -> str:
         },
         separators=(",", ":"),
     )
+
+
+def parse_window_record(line: str) -> WindowRecord:
+    """Inverse of window_record_to_json."""
+    obj = json.loads(line)
+    obj["events"] = tuple(
+        Event(e["case"], e["activity"], e["timestamp"]) for e in obj["events"]
+    )
+    return WindowRecord(**obj)
 
 
 # --- event helpers -----------------------------------------------------------
@@ -229,6 +244,25 @@ def adaptive_run(
         if record is not None:
             closes.append(idx)
     return cts, closes
+
+
+class FloorOnlyWindow(Windower):
+    """The adaptive close rule with ``ct`` held at the floor ``mt``.
+
+    A window closes once coverage reaches ``mt`` and it holds at least
+    ``min_window_size`` events; no threshold state is kept.
+    """
+
+    def __init__(self, view: SpeciesView, mt: float, min_window_size: int) -> None:
+        super().__init__(view)
+        self.mt = mt
+        self.min_window_size = min_window_size
+
+    def _is_complete(self) -> bool:
+        return (
+            coverage(self._stats) >= self.mt
+            and self.buffer_size >= self.min_window_size
+        )
 
 
 def rotating_case_events(

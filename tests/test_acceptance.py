@@ -34,7 +34,6 @@ from coverwin.driftgen import builtin_scenario
 from coverwin.stream_io import (
     FILE_CSV,
     FILE_JSONL,
-    parse_window_record,
     window_record_to_json,
     write_events_csv,
     write_events_jsonl,
@@ -42,7 +41,12 @@ from coverwin.stream_io import (
 from coverwin.views import ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT
 from coverwin.window import CT_CEILING, SF_CEILING, SF_FLOOR
 
-from conftest import adaptive_run, batch_reference_run, update_threshold
+from conftest import (
+    adaptive_run,
+    batch_reference_run,
+    parse_window_record,
+    update_threshold,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -46,13 +46,12 @@ from coverwin.stream_io import (
     FILE_CSV,
     SourceConfig,
     event_to_json_line,
-    parse_window_record,
     write_events_jsonl,
 )
 from coverwin.views import VIEW_KINDS, Event, ViewConfig
 from coverwin.window import ThresholdState, WindowRecord
 
-from conftest import DATA_DIR, dumps_window_record, make_events
+from conftest import DATA_DIR, dumps_window_record, make_events, parse_window_record
 
 WORKED = f"{DATA_DIR}/worked_example.jsonl"
 ROOT = Path(__file__).resolve().parents[1]

@@ -32,7 +32,6 @@ from coverwin.stream_io import (
     _make_event,
     _split_reads,
     event_to_json_line,
-    parse_window_record,
     window_record_to_json,
     write_events_csv,
     write_events_jsonl,
@@ -40,7 +39,7 @@ from coverwin.stream_io import (
 )
 from coverwin.window import WindowRecord
 
-from conftest import dumps_window_record, make_events
+from conftest import dumps_window_record, make_events, parse_window_record
 
 
 # --- parsing -----------------------------------------------------------------

@@ -28,9 +28,12 @@ from coverwin import (
     ViewConfig,
     WindowRecord,
     estimates,
+    generate,
 )
 from coverwin.baselines import COUNT_TUMBLING, LANDMARK, TIME_TUMBLING
-from coverwin.stream_io import parse_window_record, window_record_to_json
+from coverwin.bench import run_stream
+from coverwin.driftgen import builtin_scenario
+from coverwin.stream_io import window_record_to_json
 from coverwin.views import ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT
 from coverwin.window import (
     CT_CEILING,
@@ -41,7 +44,14 @@ from coverwin.window import (
     _next_threshold,
 )
 
-from conftest import adaptive_run, batch_reference_run, make_events, update_threshold
+from conftest import (
+    FloorOnlyWindow,
+    adaptive_run,
+    batch_reference_run,
+    make_events,
+    parse_window_record,
+    update_threshold,
+)
 
 
 # --- threshold state ---------------------------------------------------------
@@ -273,6 +283,47 @@ def test_incremental_matches_batch_for_any_threshold_parameters(
         assert adaptive_run(events, config, state0, min_size) == (cts, closes)
 
 
+# --- where the threshold acts --------------------------------------------------
+#
+# The floor-only rule closes at the first event with coverage >= mt and at
+# least min_window_size events.  Under the defaults of `analyze` and of
+# `bench compare` the adaptive rule closes at exactly those events on every
+# small built-in scenario; the trace_variant setting is one where the
+# adaptation moves boundaries.  A change to the close rule that moves a pin
+# here should say so.
+
+RULE_SETTINGS = (
+    (ViewConfig(ACTIVITY_NGRAM), 0.5, 5),  # analyze
+    (ViewConfig(DIRECTLY_FOLLOWS), 0.75, 5),  # bench compare
+    (ViewConfig(TRACE_VARIANT, case_timeout=10_000), 0.5, 20),
+)
+
+
+# per scenario and setting: adaptive windows, floor-only windows, same boundaries
+BOUNDARY_PINS = {
+    "sudden": [(265, 265, True), (177, 177, True), (67, 71, False)],
+    "gradual": [(596, 596, True), (389, 389, True), (153, 163, False)],
+    "recurring": [(266, 266, True), (175, 175, True), (70, 72, False)],
+    "incremental": [(344, 344, True), (310, 310, True), (125, 125, False)],
+    "steady3": [(180, 180, True), (180, 180, True), (45, 45, True)],
+    "steady5": [(215, 215, True), (200, 200, True), (75, 75, True)],
+}
+
+
+@pytest.mark.parametrize("scenario", BOUNDARY_PINS)
+def test_adaptive_threshold_moves_boundaries_only_where_pinned(scenario):
+    events, _ = generate(builtin_scenario(scenario))
+    got = []
+    for config, mt, min_size in RULE_SETTINGS:
+        state0 = ThresholdState(mt=mt)
+        adaptive = AdaptiveWindow(SpeciesView(config), state0, min_size)
+        floor = FloorOnlyWindow(SpeciesView(config), mt, min_size)
+        a = [r.size for r in run_stream(events, adaptive)]
+        f = [r.size for r in run_stream(events, floor)]
+        got.append((len(a), len(f), a == f))
+    assert got == BOUNDARY_PINS[scenario]
+
+
 # --- window lifecycle --------------------------------------------------------
 
 
@@ -322,19 +373,22 @@ def test_close_resets_statistics_but_keeps_threshold():
     assert win.windows_closed == 1
     assert win.buffer_size == 0
     assert win.coverage_history == ()
-    assert win.stats.n == 0
+    # the next window counts only its own event: {A: 2, B: 1} would give 2.5
+    win.process_event(Event("c1", "B", 5000))
+    rec = win.flush()
+    assert (rec.size, rec.chao1, rec.coverage) == (1, 1.0, 0.0)
 
 
 def test_trace_variant_window_counts_completed_cases():
     cfg = ViewConfig(TRACE_VARIANT, case_timeout=1000)
     win = AdaptiveWindow(SpeciesView(cfg), min_window_size=1)
-    win.process_event(Event("a", "A", 0))
-    win.process_event(Event("a", "B", 100))
-    # far future event forces case "a" to complete inside the open window
-    win.process_event(Event("b", "Z", 10_000))
-    assert win.stats.n == 1  # the variant A|B
-    rec = win.flush()
-    assert rec.size == 3
+    for case, start in (("a", 0), ("c", 200)):
+        win.process_event(Event(case, "A", start))
+        win.process_event(Event(case, "B", start + 100))
+    # a far future event completes both cases inside the open window; their
+    # two A|B variants give coverage 1.0, which closes it at this event
+    rec = win.process_event(Event("b", "Z", 10_000))
+    assert (rec.size, rec.coverage) == (5, 1.0)
 
 
 def test_record_fields_describe_buffer():

@@ -15,6 +15,7 @@ from .stream_io import (
     ParseError,
     ReplayStats,
     SourceConfig,
+    StopServing,
     StreamServer,
     parse_event,
     replay,
@@ -37,6 +38,7 @@ __all__ = [
     "ReplayStats",
     "SourceConfig",
     "SpeciesView",
+    "StopServing",
     "StreamServer",
     "ThresholdState",
     "VariantPool",

@@ -12,6 +12,7 @@ over config file over built-in default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -36,6 +37,7 @@ from .stream_io import (
     OrderingError,
     ParseError,
     SourceConfig,
+    StopServing,
     StreamServer,
     replay,
     window_record_to_json,
@@ -246,10 +248,15 @@ class _RecordWriter:
     Keeps running aggregates for the run summary instead of the records,
     so memory does not grow with the stream.  No output file is touched
     before ``open_outputs``, so a run that cannot start leaves them as they were.
+    An output error propagates, unless ``stop`` is given: then the first one
+    is kept in ``failure`` and sets ``stop``, and a write error raises
+    ``StopServing``, which ends a server's ingest.
     """
 
-    def __init__(self, verbose: bool) -> None:
+    def __init__(self, verbose: bool, stop: threading.Event | None = None) -> None:
         self.verbose = verbose
+        self.failure: OSError | None = None
+        self._stop = stop
         self.windows = 0
         self._size_sum = 0
         self._size_min = float("inf")
@@ -287,6 +294,14 @@ class _RecordWriter:
             self.emit(final)
 
     def emit(self, record: WindowRecord) -> None:
+        try:
+            if self._windows_fp is not None:
+                self._windows_fp.write(window_record_to_json(record) + "\n")
+            if self._sizes_fp is not None:
+                self._sizes_fp.write(_sizes_line(record))
+        except OSError as exc:
+            self._fail(exc)
+            raise StopServing from exc
         size = record.size
         self.windows += 1
         self._size_sum += size
@@ -296,10 +311,6 @@ class _RecordWriter:
             self._size_max = size
         self._coverage_sum += record.coverage
         self._forced += record.force_closed
-        if self._windows_fp is not None:
-            self._windows_fp.write(window_record_to_json(record) + "\n")
-        if self._sizes_fp is not None:
-            self._sizes_fp.write(_sizes_line(record))
         if self.verbose:
             summary = {
                 "index": record.index,
@@ -311,10 +322,23 @@ class _RecordWriter:
             print(json.dumps(summary), file=sys.stderr)
 
     def close(self) -> None:
-        if self._windows_fp is not None:
-            self._windows_fp.close()
-        if self._sizes_fp is not None:
-            self._sizes_fp.close()
+        """Close every output, also after one fails to."""
+        failed = None
+        for fp in (self._windows_fp, self._sizes_fp):
+            if fp is not None:
+                try:
+                    fp.close()
+                except OSError as exc:
+                    failed = failed or exc
+        if failed is not None:
+            self._fail(failed)
+
+    def _fail(self, exc: OSError) -> None:
+        if self._stop is None:
+            raise exc
+        if self.failure is None:
+            self.failure = exc
+            self._stop.set()
 
     def print_summary(self, delivered: int, dropped: int) -> None:
         n = self.windows
@@ -493,7 +517,12 @@ def cmd_listen(
     args: argparse.Namespace, stop_event: threading.Event | None = None
 ) -> int:
     strategy = _make_strategy(args)
-    writer = _RecordWriter(verbose=not args.quiet)
+    if stop_event is None:
+        stop_event = threading.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: stop_event.set())
+    # an output that fails stops the run as a signal does
+    writer = _RecordWriter(verbose=not args.quiet, stop=stop_event)
     try:
         server = StreamServer(
             writer.sink(strategy),
@@ -504,10 +533,6 @@ def cmd_listen(
     except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         print(f"listen: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
-    if stop_event is None:
-        stop_event = threading.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, lambda *_: stop_event.set())
     try:
         writer.open_outputs(args, live=True)
         server.start()
@@ -516,10 +541,13 @@ def cmd_listen(
         stop_event.wait()
     finally:
         stats = server.stop()
-        writer.flush(strategy)
+        with contextlib.suppress(StopServing):  # the failure is kept either way
+            writer.flush(strategy)
         writer.close()
+    if writer.failure is not None:
+        print(f"listen: output failed: {writer.failure}", file=sys.stderr)
     writer.print_summary(stats.delivered, stats.dropped)
-    return 0
+    return 0 if writer.failure is None else 1
 
 
 # --- parser wiring ----------------------------------------------------------

@@ -299,6 +299,10 @@ class _StreamHandler(socketserver.StreamRequestHandler):
             pass  # client already gone; keep serving others
 
 
+class StopServing(Exception):
+    """Raised by a ``StreamServer``'s ``on_event`` to stop windowing for good."""
+
+
 @dataclass
 class ServerStats:
     received: int = 0
@@ -320,7 +324,9 @@ class StreamServer:
     rejected at the door: silently counted in lenient mode, answered with
     an ERR line in strict mode.  The server never crashes on a bad or
     out-of-order line.  Events that arrive after ``stop`` are counted as
-    received and dropped.
+    received and dropped.  ``on_event`` may raise ``StopServing`` to stop
+    windowing: that event and every later one are counted as dropped, and
+    connections are still answered.
     """
 
     def __init__(
@@ -375,7 +381,8 @@ class StreamServer:
         ``parse_error`` counts the bad line that ended the batch.  Returns
         how many events were rejected for going back in time.  If
         ``on_event`` raises, its event and the rest of the batch count as
-        dropped, and the exception propagates.
+        dropped, and the exception propagates, unless it is ``StopServing``,
+        which closes the server instead.
         """
         # the order check, the on_event calls and the counters are one atomic
         # step, otherwise two connections could interleave inconsistently
@@ -400,6 +407,8 @@ class StreamServer:
                 for event in kept:
                     self.on_event(event)
                     stats.delivered += 1
+            except StopServing:
+                self._closed = True
             finally:
                 # an on_event that raised leaves its event and the rest undelivered
                 stats.dropped += len(kept) - (stats.delivered - before)

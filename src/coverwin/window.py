@@ -5,9 +5,10 @@ records; a subclass decides only where a window ends.  ``AdaptiveWindow``
 is the paper's rule: after every event the closing threshold is
 re-derived from the shape of the coverage curve, and the window closes
 once coverage reaches the threshold (subject to a minimum size).
-Threshold state survives window boundaries; buffer, statistics and
-history do not.  The fixed count/time/landmark rules live in
-``baselines``.
+Threshold state survives window boundaries; buffer and statistics do
+not, and the curve evidence restarts at a window's first event.  No
+per-window coverage curve is kept.  The fixed count/time/landmark rules
+live in ``baselines``.
 """
 
 from __future__ import annotations
@@ -161,10 +162,6 @@ class Windower:
         self._buffer: list[Event] = []
         self._stats = AbundanceStats()
 
-    @property
-    def buffer_size(self) -> int:
-        return len(self._buffer)
-
     def _starts_window(self, event: Event) -> bool:
         return False
 
@@ -241,7 +238,8 @@ class AdaptiveWindow(Windower):
       smaller than ``delta``: the last ``w`` points moved by less than
       ``delta`` each exactly when that run is at least ``w - 1`` long.
 
-    Both restart with the window's coverage curve on close.
+    Both restart at a window's first event.  No per-window curve is
+    kept: the two latest coverage points are all either check reads.
     """
 
     def __init__(
@@ -262,7 +260,8 @@ class AdaptiveWindow(Windower):
         self._mt = params.mt
         self._delta = params.delta
         self._stagnant_run = params.w - 1
-        self._history: list[float] = []
+        self._prev = 0.0
+        self._prev2 = 0.0
         self._flat_run = 0
         self._best_r2 = -math.inf
         self._c_optimal = 0.0
@@ -272,20 +271,15 @@ class AdaptiveWindow(Windower):
         """Snapshot of the current threshold state."""
         return replace(self._params, ct=self._threshold, sf=self._sf)
 
-    @property
-    def coverage_history(self) -> tuple[float, ...]:
-        """Per-event coverage curve of the open window."""
-        return tuple(self._history)
-
     def _is_complete(self) -> bool:
         cov = coverage_of(self._stats)
-        h = self._history
-        h.append(cov)
-        # one coverage point per buffered event
-        n = len(h)
+        n = len(self._buffer)
         ct = self._threshold
-        if n >= 2:
-            prev = h[-2]
+        if n == 1:
+            self._flat_run = 0
+            self._best_r2 = -math.inf
+        else:
+            prev = self._prev
             delta = self._delta
             d = prev - cov
             if -delta < d < delta:
@@ -295,7 +289,7 @@ class AdaptiveWindow(Windower):
             self._flat_run = flat_run
             if n >= 3:
                 # only the newest interior point n-2 is a new elbow candidate
-                r2 = h[-3] - 2.0 * prev + cov
+                r2 = self._prev2 - 2.0 * prev + cov
                 if r2 > self._best_r2:
                     self._best_r2 = r2
                     self._c_optimal = cov
@@ -308,11 +302,6 @@ class AdaptiveWindow(Windower):
                     flat_run >= self._stagnant_run,
                 )
                 self._threshold = ct
+            self._prev2 = prev
+        self._prev = cov
         return cov >= ct and n >= self.min_window_size
-
-    def _close(self, force: bool) -> WindowRecord:
-        record = super()._close(force)
-        self._history = []
-        self._flat_run = 0
-        self._best_r2 = -math.inf
-        return record

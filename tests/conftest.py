@@ -168,9 +168,10 @@ def update_threshold(history: Sequence[float], state: ThresholdState) -> Thresho
     (ties resolved to the earliest index) becomes the target the
     threshold is pulled toward.  If the last ``w`` coverage points moved
     by less than ``delta`` each, the curve is stagnating: the smoothing
-    factor grows and the threshold additionally decays by ``dr``, so a
-    window can never stay open forever.  The result is clamped to
-    [mt, 0.99].
+    factor grows and the threshold additionally decays by ``dr``, down to
+    the floor ``mt``.  The result is clamped to [mt, 0.99].  A window whose
+    coverage never reaches ``mt`` still stays open, e.g. one in which
+    every event brings a new species.
     """
     n = len(history)
     if n < 3:
@@ -261,7 +262,7 @@ class FloorOnlyWindow(Windower):
     def _is_complete(self) -> bool:
         return (
             coverage(self._stats) >= self.mt
-            and self.buffer_size >= self.min_window_size
+            and len(self._buffer) >= self.min_window_size
         )
 
 

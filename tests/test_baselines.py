@@ -43,7 +43,7 @@ def test_count_window_closes_on_nth_event():
     assert [r.size for r in records] == [3, 3]
     assert records[0].events == tuple(events[:3])
     assert records[1].events == tuple(events[3:6])
-    assert win.buffer_size == 1
+    assert win.flush().events == (events[6],)
 
 
 def test_count_window_indices_increment():

@@ -254,6 +254,19 @@ def test_analyze_of_a_missing_file_leaves_the_outputs(tmp_path, capsys):
     assert [p.read_bytes() for p in paths] == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_analyze_into_a_full_device_fails_with_one_line(tmp_path, capsys, monkeypatch):
+    events, _ = driftgen.generate(driftgen.builtin_scenario("sudden"))
+    path = str(tmp_path / "sudden.jsonl")
+    write_events_jsonl(events, path)
+    opened = opened_files(monkeypatch)
+    sizes = str(tmp_path / "sizes.csv")
+    assert main(["analyze", path, "--windows-out", "/dev/full", "--sizes-csv", sizes]) == 1
+    assert capsys.readouterr() == ("", f"coverwin: {FULL_DEVICE_ERROR}\n")
+    # the input's open check, then both outputs
+    assert len(opened) == 3 and all(fp.closed for fp in opened)
+
+
 def test_analyze_rejects_out_of_order(tmp_path, capsys):
     path = tmp_path / "ev.jsonl"
     lines = [
@@ -828,6 +841,86 @@ def test_listen_on_a_taken_port_leaves_the_outputs(tmp_path, capsys, port):
         assert cmd_listen(args, threading.Event()) == 1
     assert f"listen: cannot bind 127.0.0.1:{port}: " in capsys.readouterr().err
     assert [p.read_bytes() for p in paths] == before
+
+
+def opened_files(monkeypatch):
+    """The files ``coverwin.cli`` opens from now on."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fp = open(*args, **kwargs)
+        opened.append(fp)
+        return fp
+
+    monkeypatch.setattr(coverwin.cli, "open", recording_open, raising=False)
+    return opened
+
+
+FULL_DEVICE_ERROR = "[Errno 28] No space left on device"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "failing, events, mid_run",
+    [("--windows-out", 3000, True), ("--sizes-csv", 3000, True), ("--sizes-csv", 6, False)],
+    # the sizes CSV is block-buffered: 6 events fill no buffer before close
+    ids=["windows", "sizes", "sizes-at-shutdown"],
+)
+def test_listen_stops_cleanly_when_an_output_fails(
+    tmp_path, capsys, monkeypatch, failing, events, mid_run
+):
+    """One message, the summary and exit 1, no traceback, every output
+    closed, and no event windowed once an output has failed."""
+    other = "--sizes-csv" if failing == "--windows-out" else "--windows-out"
+    other_path = tmp_path / "other"
+    opened = opened_files(monkeypatch)
+    port = free_port()
+    args = build_parsers()[0].parse_args(
+        ["listen", "--port", str(port), "--quiet", "--strategy", "count_tumbling"]
+        + ["--count", "2", failing, "/dev/full", other, str(other_path)]
+    )
+    late_ts = 10**12
+    late = [Event("late", "L", late_ts + i) for i in range(4)]
+    stop = threading.Event()
+    result: list[int] = []
+    th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
+    th.start()
+    try:
+        with connect(port) as sock:
+            lines = [event_to_json_line(Event("c", "A", t)) + "\n" for t in range(events)]
+            sock.sendall("".join(lines).encode("utf-8"))
+            drain(sock)  # the bad line is answered after the failure too
+        # a failure during the run stops it as a signal would
+        assert stop.wait(5.0 if mid_run else 0.2) == mid_run
+        if mid_run:
+            with contextlib.suppress(OSError):  # the listener may be gone already
+                with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+                    sock.sendall(
+                        "".join(event_to_json_line(e) + "\n" for e in late).encode()
+                    )
+                    drain(sock)
+    finally:
+        stop.set()
+        th.join(timeout=5.0)
+    assert result == [1]
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if not ln.startswith("listening on ")] == [
+        f"listen: output failed: {FULL_DEVICE_ERROR}"
+    ]
+    summary = dict(pair.split("=") for pair in out.split())
+    delivered, dropped = int(summary["events"]), int(summary["dropped"])
+    # every event is received; late ones may still be counted after the summary
+    assert events <= delivered + dropped <= events + len(late), out
+    if mid_run:
+        assert delivered < events
+    else:
+        assert (delivered, dropped, summary["windows"]) == (events, 0, "3")
+    if failing == "--windows-out":
+        # the first window fails to write: its closing event is dropped
+        assert delivered == 1
+    assert str(late_ts) not in other_path.read_text(encoding="utf-8")
+    assert len(opened) == 2 and all(fp.closed for fp in opened)
 
 
 @st.composite

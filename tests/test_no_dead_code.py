@@ -1,15 +1,17 @@
 """Every module-level name and class member in ``src/coverwin`` has a use.
 
-Each top-level function, class and constant of ``src/coverwin/*.py`` must
-be referenced again in ``src/coverwin/`` or ``perfbench/`` (as a name, an
-attribute, or a string such as perfbench's patch points), or be exported
-in ``coverwin.__all__``.  Each method and property of a top-level class,
-dunders excluded, must be referenced there by its name.  A member whose
-name is also a data attribute of another class there (a dataclass field or
-a ``self.x =`` assignment) counts as used only through ``self`` inside its
-own class, since ``obj.x`` elsewhere may read that attribute.  Tests do not
-count as a use: code kept only for its tests is listed below with the
-reason it stays.
+Each top-level function, class and constant of a module ``m`` in
+``src/coverwin/*.py`` must be loaded as a bare name in ``m``, imported by
+name from ``m`` or read as ``m.x`` in ``src/coverwin/`` or ``perfbench/``,
+be named as ``(m, "x")`` in a call or tuple in ``perfbench/`` (its patch
+points), or be exported in ``coverwin.__all__``; a name alone, such as a
+string that happens to match, is no use.  Each method and property of a
+top-level class, dunders excluded, must be referenced there by its name.
+A member whose name is also a data attribute of another class there (a
+dataclass field or a ``self.x =`` assignment) counts as used only through
+``self`` inside its own class, since ``obj.x`` elsewhere may read that
+attribute.  Tests do not count as a use: code kept only for its tests is
+listed below with the reason it stays.
 """
 
 from __future__ import annotations
@@ -27,13 +29,10 @@ CALLERS = SRC + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
 
 ALLOWED: dict[str, str] = {}
 ALLOWED_MEMBERS = {
-    "Windower.buffer_size": "tests read the open window's size through it, and "
-    "live window counters will report it",
-    "AdaptiveWindow.coverage_history": "tests read the open window's coverage "
-    "curve through it, and a per-window curve trace will write it",
     "_StreamHandler.handle": "socketserver calls it for each connection",
     "AdaptiveWindow.threshold": "criterion 2 compares the per-event ct "
-    "trajectory with the batch oracle through it",
+    "trajectory with the batch oracle through it, and the floor-only property "
+    "test reads ct through it",
 }
 
 
@@ -127,10 +126,59 @@ def used_names() -> Counter:
     return used
 
 
+def module_of(path: str) -> str:
+    name = os.path.splitext(os.path.basename(path))[0]
+    return "coverwin" if name == "__init__" else name
+
+
+def module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> module, for ``from . import m`` and ``from coverwin import m``."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "coverwin")
+        for alias in node.names
+    }
+
+
+def module_uses(tree: ast.Module, own: str | None) -> set[tuple[str, str]]:
+    """(module, name) pairs ``tree`` uses: bare loads in module ``own``,
+    imports by name, ``m.x`` reads and, outside ``src/`` (``own`` None),
+    ``(m, "x")`` items of a call or tuple."""
+    modules = module_aliases(tree)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
+            used.add((own, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            used.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                used.add((modules[node.value.id], node.attr))
+        elif own is None and isinstance(node, (ast.Call, ast.Tuple)):
+            items = node.args if isinstance(node, ast.Call) else node.elts
+            for owner, name in zip(items, items[1:]):
+                if (
+                    isinstance(owner, ast.Name)
+                    and owner.id in modules
+                    and isinstance(name, ast.Constant)
+                    and isinstance(name.value, str)
+                ):
+                    used.add((modules[owner.id], name.value))
+    return used
+
+
 def unused_names() -> set[str]:
-    used = used_names()
-    defined = {name for path in SRC for name in defined_names(_parse(path))}
-    return {n for n in defined if not used[n] and n not in coverwin.__all__}
+    used = set()
+    for path in CALLERS:
+        used |= module_uses(_parse(path), module_of(path) if path in SRC else None)
+    return {
+        f"{module_of(path)}.{name}"
+        for path in SRC
+        for name in defined_names(_parse(path))
+        if (module_of(path), name) not in used and name not in coverwin.__all__
+    }
 
 
 def unused_members() -> set[str]:

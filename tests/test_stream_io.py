@@ -19,6 +19,7 @@ from coverwin import (
     OrderingError,
     ParseError,
     SourceConfig,
+    StopServing,
     StreamServer,
     parse_event,
     replay,
@@ -775,6 +776,30 @@ def test_an_on_event_that_raises_drops_the_rest_of_its_read():
     # B raised: it and C count as dropped; the connection ended before D
     assert (stats.received, stats.delivered, stats.dropped) == (4, 2, 2)
     assert stats.received == stats.delivered + stats.dropped
+
+
+def test_stop_serving_drops_every_later_event_and_still_answers(capsys):
+    got = []
+
+    def on_event(event):
+        if event.activity == "B":
+            raise StopServing
+        got.append(event)
+
+    server = StreamServer(on_event, port=0)
+    server.start()
+    try:
+        one_read = [event_line("c", a, t) for a, t in (("A", 1), ("B", 2), ("C", 3))]
+        first = send_and_close(server.address, [b"".join(one_read) + b"bad\n"])
+        later = send_and_close(server.address, [event_line("c", "D", 4), b"bad\n"])
+    finally:
+        stats = server.stop()
+    # B stopped the server: B, C and the later connection's D are dropped,
+    # and both bad lines are still answered
+    assert got == [Event("c", "A", 1)]
+    assert [r.split(":")[0] for r in first + later] == ["ERR bad_json"] * 2
+    assert stats == ServerStats(received=4, delivered=1, dropped=3, parse_errors=2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_a_sender_that_outruns_windowing_is_held_back_by_tcp():

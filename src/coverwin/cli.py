@@ -19,6 +19,7 @@ import signal
 import sys
 import threading
 from dataclasses import asdict, astuple, fields, replace
+from math import isfinite
 from typing import Callable, Iterable, Sequence, TextIO
 
 from . import driftgen
@@ -235,6 +236,21 @@ def _sizes_line(r: WindowRecord) -> str:
     return f"{r.index},{r.size},{r.first_ts},{r.last_ts},{r.coverage:.6g},{r.threshold:.6g}\r\n"
 
 
+def _summary_line(r: WindowRecord) -> str:
+    """The ``--verbose`` line of a window: ``json.dumps``'s bytes for its
+    summary, the floats rounded to 6 places, and a newline."""
+    c, t = round(r.coverage, 6), round(r.threshold, 6)
+    if not isfinite(c + t):
+        # json spells nan and inf NaN and Infinity; an overflowing sum of
+        # finite values only takes this path too, which gives the same text
+        c, t = json.dumps(c), json.dumps(t)
+    forced = "true" if r.force_closed else "false"
+    return (
+        f'{{"index": {r.index}, "size": {r.size}, "coverage": {c}, '
+        f'"threshold": {t}, "force_closed": {forced}}}\n'
+    )
+
+
 def _open_sizes_csv(path: str) -> TextIO:
     """A sizes CSV opened for writing, its header already written."""
     fp = open(path, "w", encoding="utf-8", newline="")
@@ -246,7 +262,9 @@ class _RecordWriter:
     """Streams closed windows to the configured outputs as they happen.
 
     Keeps running aggregates for the run summary instead of the records,
-    so memory does not grow with the stream.  No output file is touched
+    so memory does not grow with the stream.  With ``verbose``, each window's
+    stderr line waits until ``publish`` writes the pending lines in one call,
+    which the caller makes after each event or read.  No output file is touched
     before ``open_outputs``, so a run that cannot start leaves them as they were.
     An output error propagates, unless ``stop`` is given: then the first one
     is kept in ``failure`` and sets ``stop``, and a write error raises
@@ -264,6 +282,7 @@ class _RecordWriter:
         # 0 + c0 + c1 + ..., the order and start value of sum()
         self._coverage_sum = 0
         self._forced = 0
+        self._pending: list[str] = []
         self._windows_fp: TextIO | None = None
         self._sizes_fp: TextIO | None = None
 
@@ -312,14 +331,14 @@ class _RecordWriter:
         self._coverage_sum += record.coverage
         self._forced += record.force_closed
         if self.verbose:
-            summary = {
-                "index": record.index,
-                "size": record.size,
-                "coverage": round(record.coverage, 6),
-                "threshold": round(record.threshold, 6),
-                "force_closed": record.force_closed,
-            }
-            print(json.dumps(summary), file=sys.stderr)
+            self._pending.append(_summary_line(record))
+
+    def publish(self) -> None:
+        """Write the pending window lines to stderr with one call."""
+        if self._pending:
+            text = "".join(self._pending)
+            self._pending.clear()
+            sys.stderr.write(text)
 
     def close(self) -> None:
         """Close every output, also after one fails to."""
@@ -394,12 +413,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     source = _make_source(args)
     strategy = _make_strategy(args)
     writer = _RecordWriter(verbose=args.verbose)
+    process = writer.sink(strategy)
+
+    def sink(event: Event) -> None:
+        process(event)
+        writer.publish()  # stderr gets each window's line as it closes
+
     # a missing or unreadable input fails here, before the outputs are truncated
     open(source.path, "rb").close()
     try:
         writer.open_outputs(args)
-        replay_stats = replay(source, writer.sink(strategy))
+        replay_stats = replay(source, sink if args.verbose else process)
         writer.flush(strategy)
+        writer.publish()
     finally:
         writer.close()
     writer.print_summary(replay_stats.delivered, replay_stats.dropped)
@@ -529,6 +555,7 @@ def cmd_listen(
             host=args.host,
             port=args.port,
             strict_order=not args.lenient,
+            on_batch=writer.publish,
         )
     except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
         print(f"listen: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
@@ -541,9 +568,13 @@ def cmd_listen(
         stop_event.wait()
     finally:
         stats = server.stop()
-        with contextlib.suppress(StopServing):  # the failure is kept either way
-            writer.flush(strategy)
-        writer.close()
+        try:
+            with contextlib.suppress(StopServing):  # the failure is kept either way
+                writer.flush(strategy)
+        finally:
+            writer.close()
+            # the open window's line, and those of a read that StopServing cut short
+            writer.publish()
     if writer.failure is not None:
         print(f"listen: output failed: {writer.failure}", file=sys.stderr)
     writer.print_summary(stats.delivered, stats.dropped)

@@ -16,7 +16,7 @@ import csv
 import json
 import socketserver
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
@@ -327,6 +327,14 @@ class StreamServer:
     received and dropped.  ``on_event`` may raise ``StopServing`` to stop
     windowing: that event and every later one are counted as dropped, and
     connections are still answered.
+
+    ``on_batch``, if given, is called after each batch a handler hands
+    over (a read's events, or the part of a read before a bad line), under
+    the same lock, once the batch's events have been through ``on_event``
+    and before any ERR reply to the batch is sent.  It is not called for a
+    batch whose ``on_event`` raised, nor once the server is closed.  It may
+    raise ``StopServing`` too, which closes the server; any other exception
+    it raises propagates as one from ``on_event`` does.
     """
 
     def __init__(
@@ -335,8 +343,10 @@ class StreamServer:
         host: str = "127.0.0.1",
         port: int = 0,
         strict_order: bool = True,
+        on_batch: Callable[[], None] | None = None,
     ) -> None:
         self.on_event = on_event
+        self.on_batch = on_batch
         self.strict_order = strict_order
         self.stats = ServerStats()
         self._lock = threading.Lock()
@@ -358,10 +368,11 @@ class StreamServer:
         self._serve_thread.start()
 
     def stop(self) -> ServerStats:
-        """Stop accepting and return final counters.
+        """Stop accepting and return a copy of the counters at this point.
 
         Every event accepted before this returns has been windowed, so the
-        caller may touch the pipeline's state afterwards.
+        caller may touch the pipeline's state afterwards.  Events a handler
+        hands over later still count in ``stats``, not in the copy.
         """
         # shutdown() waits for serve_forever to end, which never began
         # unless start() ran
@@ -373,10 +384,11 @@ class StreamServer:
         # inside the lock, so none is midway here, and later ones are dropped
         with self._lock:
             self._closed = True
-        return self.stats
+            return replace(self.stats)
 
     def _deliver(self, batch: list[Event], parse_error: bool = False) -> int:
-        """Window the in-order events of ``batch`` through ``on_event``.
+        """Window the in-order events of ``batch`` through ``on_event``,
+        then call ``on_batch``.
 
         ``parse_error`` counts the bad line that ended the batch.  Returns
         how many events were rejected for going back in time.  If
@@ -407,6 +419,8 @@ class StreamServer:
                 for event in kept:
                     self.on_event(event)
                     stats.delivered += 1
+                if self.on_batch is not None:
+                    self.on_batch()
             except StopServing:
                 self._closed = True
             finally:

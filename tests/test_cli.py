@@ -37,6 +37,7 @@ from coverwin.cli import (
     _make_strategy,
     _RecordWriter,
     _sizes_line,
+    _summary_line,
     build_parsers,
     cmd_listen,
     load_config_file,
@@ -45,6 +46,8 @@ from coverwin.cli import (
 from coverwin.stream_io import (
     FILE_CSV,
     SourceConfig,
+    StopServing,
+    StreamServer,
     event_to_json_line,
     write_events_jsonl,
 )
@@ -83,6 +86,34 @@ def test_sizes_line_is_csv_writers_row(index, size, first_ts, last_ts, cov, thr)
     expected = io.StringIO(newline="")
     csv.writer(expected).writerow(sizes_cells(record))
     assert _sizes_line(record) == expected.getvalue()
+
+
+BIG_FLOATS = [1.7976931348623157e308, -1e300, 5e-324, 1e-7, -4.5e-7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(),
+    st.integers(),
+    st.floats() | st.sampled_from(EDGE_FLOATS + BIG_FLOATS),
+    st.floats() | st.sampled_from(EDGE_FLOATS + BIG_FLOATS),
+    st.booleans(),
+)
+@example(2**64, 2**63 + 1, -0.0, math.nan, True)
+@example(0, 1, math.inf, -math.inf, False)
+# finite values whose sum overflows
+@example(7, 3, 1.7976931348623157e308, 1.7976931348623157e308, False)
+@example(12, 5, 5e-324, 1e21, True)
+def test_summary_line_is_json_dumps_of_the_summary(index, size, cov, thr, forced):
+    record = WindowRecord(index, (), size, 0, 0, cov, 0.0, 0.0, thr, forced)
+    summary = {
+        "index": index,
+        "size": size,
+        "coverage": round(cov, 6),
+        "threshold": round(thr, 6),
+        "force_closed": forced,
+    }
+    assert _summary_line(record) == json.dumps(summary) + "\n"
 
 
 def read_csv(path):
@@ -760,6 +791,11 @@ def drain(sock):
     assert reply.startswith(b"ERR missing_field"), reply
 
 
+def indices(text):
+    """The window indices of ``text``'s stderr lines."""
+    return [json.loads(line)["index"] for line in text.splitlines()]
+
+
 def test_listen_ingests_until_stopped(tmp_path, capsys):
     windows_path = str(tmp_path / "win.jsonl")
     parser, _ = build_parsers()
@@ -800,11 +836,11 @@ def test_listen_ingests_until_stopped(tmp_path, capsys):
     assert sizes == [5, 1]
 
 
-def test_listen_writes_each_record_as_it_closes(tmp_path):
+def test_listen_writes_each_record_as_it_closes(tmp_path, capsys):
     windows_path = tmp_path / "win.jsonl"
     port = free_port()
     args = build_parsers()[0].parse_args(
-        ["listen", "--port", str(port), "--quiet", "--windows-out", str(windows_path)]
+        ["listen", "--port", str(port), "--windows-out", str(windows_path)]
     )
     stop = threading.Event()
     th = threading.Thread(target=cmd_listen, args=(args, stop))
@@ -822,11 +858,16 @@ def test_listen_writes_each_record_as_it_closes(tmp_path):
                 assert time.monotonic() < deadline, "no record reached the file"
                 time.sleep(0.02)
                 live = windows_path.read_text(encoding="utf-8")
+            # a read's window lines reach stderr before any reply to it
+            drain(sock)
+            err = capsys.readouterr().err.splitlines()
     finally:
         stop.set()
         th.join(timeout=5.0)
     assert not th.is_alive()
     assert [parse_window_record(line).size for line in live.splitlines()] == [5]
+    windows = [json.loads(ln)["size"] for ln in err if ln.startswith("{")]
+    assert windows == [5]
 
 
 @pytest.mark.parametrize("port", [None, 70000, -1], ids=["taken", "70000", "-1"])
@@ -870,14 +911,16 @@ def test_listen_stops_cleanly_when_an_output_fails(
     tmp_path, capsys, monkeypatch, failing, events, mid_run
 ):
     """One message, the summary and exit 1, no traceback, every output
-    closed, and no event windowed once an output has failed."""
+    closed, and no event windowed once an output has failed.  Every
+    window counted in the summary has its stderr line, once, before the
+    failure's."""
     other = "--sizes-csv" if failing == "--windows-out" else "--windows-out"
     other_path = tmp_path / "other"
     opened = opened_files(monkeypatch)
     port = free_port()
     args = build_parsers()[0].parse_args(
-        ["listen", "--port", str(port), "--quiet", "--strategy", "count_tumbling"]
-        + ["--count", "2", failing, "/dev/full", other, str(other_path)]
+        ["listen", "--port", str(port), "--strategy", "count_tumbling", "--count", "2"]
+        + [failing, "/dev/full", other, str(other_path)]
     )
     late_ts = 10**12
     late = [Event("late", "L", late_ts + i) for i in range(4)]
@@ -905,12 +948,14 @@ def test_listen_stops_cleanly_when_an_output_fails(
     assert result == [1]
     out, err = capsys.readouterr()
     assert "Traceback" not in err
-    assert [ln for ln in err.splitlines() if not ln.startswith("listening on ")] == [
-        f"listen: output failed: {FULL_DEVICE_ERROR}"
+    *window_lines, last = [
+        ln for ln in err.splitlines() if not ln.startswith("listening on ")
     ]
+    assert last == f"listen: output failed: {FULL_DEVICE_ERROR}"
     summary = dict(pair.split("=") for pair in out.split())
+    assert indices("\n".join(window_lines)) == list(range(int(summary["windows"])))
     delivered, dropped = int(summary["events"]), int(summary["dropped"])
-    # every event is received; late ones may still be counted after the summary
+    # every event is received; late ones count only if they came before stop()
     assert events <= delivered + dropped <= events + len(late), out
     if mid_run:
         assert delivered < events
@@ -919,8 +964,65 @@ def test_listen_stops_cleanly_when_an_output_fails(
     if failing == "--windows-out":
         # the first window fails to write: its closing event is dropped
         assert delivered == 1
+    else:
+        # the window whose sizes row failed may be in the windows file already
+        records = len(other_path.read_text(encoding="utf-8").splitlines())
+        assert int(summary["windows"]) <= records <= int(summary["windows"]) + 1
     assert str(late_ts) not in other_path.read_text(encoding="utf-8")
     assert len(opened) == 2 and all(fp.closed for fp in opened)
+
+
+class CountingStderr:
+    """A stand-in for ``sys.stderr`` that keeps each ``write`` call's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_listen_writes_the_window_lines_of_a_read_with_one_call(monkeypatch):
+    args = build_parsers()[0].parse_args(
+        ["listen", "--strategy", "count_tumbling", "--count", "2"]
+    )
+    events = [Event("c", "A", t) for t in range(9)]
+    stderr = CountingStderr()
+    monkeypatch.setattr(sys, "stderr", stderr)
+
+    writer = _RecordWriter(verbose=True, stop=threading.Event())
+    server = StreamServer(writer.sink(_make_strategy(args)), on_batch=writer.publish)
+    try:
+        assert server._deliver(events) == 0
+    finally:
+        server.stop()
+    assert [indices(text) for text in stderr.writes] == [[0, 1, 2, 3]]
+
+    # on_batch does not run for a read that on_event stopped partway: the
+    # lines of its windows wait for the publish listen makes at shutdown
+    stderr.writes.clear()
+    writer = _RecordWriter(verbose=True, stop=threading.Event())
+    sink = writer.sink(_make_strategy(args))
+
+    def stopping(event):
+        sink(event)
+        if event.timestamp == 4:
+            raise StopServing
+
+    server = StreamServer(stopping, on_batch=writer.publish)
+    try:
+        assert server._deliver(events) == 0
+        assert server._deliver(events[5:]) == 0
+    finally:
+        stats = server.stop()
+    assert stderr.writes == []
+    assert (stats.delivered, stats.dropped) == (4, 9)
+    writer.publish()
+    assert [indices(text) for text in stderr.writes] == [[0, 1]]
 
 
 @st.composite
@@ -956,15 +1058,27 @@ def listen_sessions(draw):
     return "".join(lines), connections
 
 
+def scenario_session(name):
+    """A built-in scenario as a ``listen_sessions`` value: one connection,
+    sent 8 KiB at a time."""
+    events, _ = driftgen.generate(driftgen.builtin_scenario(name))
+    text = "".join(event_to_json_line(e) + "\n" for e in events)
+    data = text.encode("utf-8")
+    return text, [[data[i : i + 8192] for i in range(0, len(data), 8192)]]
+
+
 def outputs_of(argv, windows, sizes, run):
-    """Windows bytes, sizes bytes and stdout of ``run(args)`` on ``argv``."""
+    """Windows bytes, sizes bytes, stdout and stderr of ``run(args)`` on
+    ``argv``; stderr without ``listen``'s "listening on" line."""
     args = build_parsers()[0].parse_args(
         [*argv, "--windows-out", windows, "--sizes-csv", sizes]
     )
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         assert run(args) == 0
-    return Path(windows).read_bytes(), Path(sizes).read_bytes(), stdout.getvalue()
+    err = stderr.getvalue().splitlines(keepends=True)
+    err = "".join(ln for ln in err if not ln.startswith("listening on "))
+    return Path(windows).read_bytes(), Path(sizes).read_bytes(), stdout.getvalue(), err
 
 
 def listen_to(connections):
@@ -999,15 +1113,18 @@ def listen_to(connections):
 # each listen run waits up to 0.5 s in stop() for serve_forever's poll
 @settings(max_examples=3, deadline=None)
 @given(session=listen_sessions())
+@example(session=scenario_session("sudden"))
 def test_listen_writes_what_analyze_writes_for_the_same_events(flags, session):
+    """The same files, summary and window lines: listen's stderr matches
+    analyze --verbose's."""
     text, connections = session
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "events.jsonl")
         Path(path).write_text(text, encoding="utf-8")
         windows, sizes = os.path.join(workdir, "w.jsonl"), os.path.join(workdir, "s.csv")
-        analyze = ["analyze", path, *flags]
+        analyze = ["analyze", path, "--verbose", *flags]
         analyzed = outputs_of(analyze, windows, sizes, lambda args: args.func(args))
-        argv = ["listen", "--port", str(free_port()), "--quiet", *flags]
+        argv = ["listen", "--port", str(free_port()), *flags]
         assert outputs_of(argv, windows, sizes, listen_to(connections)) == analyzed
 
 

@@ -699,13 +699,15 @@ def test_events_enqueued_after_stop_are_counted_as_dropped():
     server = StreamServer(got.append, port=0)
     server.start()
     assert server._deliver([Event("c", "A", 1)]) == 0
-    server.stop()
+    final = server.stop()
     # a handler thread can still hand over a batch after stop()
     assert server._deliver([Event("c", "B", 2), Event("c", "C", 3)]) == 0
     stats = server.stats
     assert got == [Event("c", "A", 1)]
     assert stats.received == stats.delivered + stats.dropped
     assert (stats.received, stats.delivered, stats.dropped) == (3, 1, 2)
+    # what stop() returned is a snapshot: the late batch is not in it
+    assert final == ServerStats(received=1, delivered=1, dropped=0)
 
 
 def test_a_bad_line_is_counted_in_the_step_that_windows_its_batch():
@@ -718,10 +720,12 @@ def test_a_bad_line_is_counted_in_the_step_that_windows_its_batch():
     with pytest.raises(RuntimeError):
         server._deliver([Event("c", "A", 1), Event("c", "B", 2)], parse_error=True)
     assert server._deliver([], parse_error=True) == 0
-    stats = server.stop()
+    at_stop = ServerStats(received=2, delivered=1, dropped=1, parse_errors=2)
+    assert server.stop() == at_stop
     # a bad line that arrives after stop() is counted too
     assert server._deliver([Event("c", "C", 3)], parse_error=True) == 0
-    assert stats == ServerStats(received=3, delivered=1, dropped=2, parse_errors=3)
+    late = ServerStats(received=3, delivered=1, dropped=2, parse_errors=3)
+    assert server.stats == late
 
 
 def test_server_answers_a_line_over_the_cap_once_and_goes_on():

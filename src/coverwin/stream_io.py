@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import socketserver
 import threading
 from dataclasses import dataclass, fields, replace
@@ -35,6 +36,13 @@ CSV_HEADER = ("case_id", "activity", "timestamp")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
 
+# the exact line event_to_json_line writes: strings without escapes or
+# control characters are their own value, and an integer of at most 18
+# digits stays far below int()'s digit limit
+_COMPACT_EVENT = re.compile(
+    r'\{"case":"([^"\\\x00-\x1f]*)","activity":"([^"\\\x00-\x1f]*)",'
+    r'"timestamp":(-?(?:0|[1-9][0-9]{0,17}))\}\n?'
+).fullmatch
 # the C scanner behind json.loads, called directly on lines it reads whole
 _scan_json = make_scanner(json.JSONDecoder())
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
@@ -112,25 +120,34 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
     taken as UTC.  Raises ParseError with a stable code on bad input.
     """
     if fmt == "jsonl":
-        try:
-            obj, end = _scan_json(line, 0)
-            if end != len(line) and line[end:] != "\n":
-                raise ValueError("more than a newline after the value")
-        except Exception:
-            # surrounding whitespace, a BOM, trailing data or a failed scan:
-            # json.loads decides, and words every error
+        match = _COMPACT_EVENT(line)
+        if match:
+            case, activity, timestamp = match.groups()
+            timestamp = int(timestamp)
+        else:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
-        if not isinstance(obj, dict):
-            raise ParseError("bad_json", "event line must be a JSON object", line_no)
-        try:
-            case, activity, timestamp = obj["case"], obj["activity"], obj["timestamp"]
-        except KeyError:
-            raise ParseError(
-                "missing_field", "need keys case, activity, timestamp", line_no
-            ) from None
+                obj, end = _scan_json(line, 0)
+                if end != len(line) and line[end:] != "\n":
+                    raise ValueError("more than a newline after the value")
+            except Exception:
+                # surrounding whitespace, a BOM, trailing data or a failed scan:
+                # json.loads decides, and words every error; an over-long
+                # integer raises ValueError and too deep nesting RecursionError
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(
+                        "bad_json", f"invalid JSON: {exc}", line_no
+                    ) from None
+            if not isinstance(obj, dict):
+                raise ParseError("bad_json", "event line must be a JSON object", line_no)
+            try:
+                case, activity = obj["case"], obj["activity"]
+                timestamp = obj["timestamp"]
+            except KeyError:
+                raise ParseError(
+                    "missing_field", "need keys case, activity, timestamp", line_no
+                ) from None
         if type(case) is str and type(activity) is str and type(timestamp) is int:
             case_id, name = case.strip(), activity.strip()
             if case_id and name and SEPARATOR not in name:

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import queue
 import shutil
 import socket
 import subprocess
@@ -307,6 +308,24 @@ def test_analyze_rejects_out_of_order(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+# lines json.loads fails on with ValueError or RecursionError, not JSONDecodeError
+UNDECODABLE_LINES = {
+    "deep": "[" * 5000,
+    "long-int": '{"case":"c","activity":"A","timestamp":' + "1" * 4301 + "}",
+}
+
+
+@pytest.mark.parametrize("bad", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES)
+def test_analyze_answers_an_undecodable_line_as_an_input_error(tmp_path, capsys, bad):
+    path = tmp_path / "ev.jsonl"
+    good = event_to_json_line(Event("c", "A", 1))
+    path.write_text(f"{good}\n{bad}\n{good}\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("coverwin: input error: invalid JSON: "), err
+    assert err.endswith(" (line 2)\n") and err.count("\n") == 1, err
 
 
 def test_analyze_lenient_drops_and_reports(tmp_path, capsys):
@@ -755,12 +774,35 @@ def test_every_flag_reaches_what_it_configures(tmp_path, capsys, check):
 # --- listen ----------------------------------------------------------------------
 
 
-def free_port():
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+@contextlib.contextmanager
+def listening(args):
+    """Run ``cmd_listen(args)`` in a thread for the length of the block.
+
+    Yields the ``StreamServer`` it built, the stop event, and a list that
+    holds the exit code once the block ends.  Run with ``--port 0``: the
+    server's ``address`` names the port the system gave it, so no other
+    process can take that port in between.
+    """
+    servers = queue.SimpleQueue()
+    built = coverwin.cli.StreamServer
+
+    def capturing(*args, **kwargs):
+        server = built(*args, **kwargs)
+        servers.put(server)
+        return server
+
+    stop = threading.Event()
+    result: list[int] = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coverwin.cli, "StreamServer", capturing)
+        th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
+        th.start()
+        try:
+            yield servers.get(timeout=5.0), stop, result
+        finally:
+            stop.set()
+            th.join(timeout=5.0)
+    assert not th.is_alive()
 
 
 def connect(port, seconds=5.0):
@@ -775,20 +817,26 @@ def connect(port, seconds=5.0):
             time.sleep(0.02)
 
 
+def reply(sock):
+    """The listener's next reply line on ``sock``."""
+    sock.settimeout(5.0)
+    line = b""
+    while not line.endswith(b"\n"):
+        chunk = sock.recv(4096)
+        assert chunk, "the listener closed the connection"
+        line += chunk
+    return line
+
+
 def drain(sock):
     """Send a line without the event fields and wait for its ERR reply.
 
     The listener answers a bad line only after it has windowed every earlier
     line of the connection, so the reply means that all of them are in.
     """
-    sock.settimeout(5.0)
     sock.sendall(b'{"drain":true}\n')
-    reply = b""
-    while not reply.endswith(b"\n"):
-        chunk = sock.recv(4096)
-        assert chunk, "the listener closed the connection"
-        reply += chunk
-    assert reply.startswith(b"ERR missing_field"), reply
+    line = reply(sock)
+    assert line.startswith(b"ERR missing_field"), line
 
 
 def indices(text):
@@ -799,12 +847,11 @@ def indices(text):
 def test_listen_ingests_until_stopped(tmp_path, capsys):
     windows_path = str(tmp_path / "win.jsonl")
     parser, _ = build_parsers()
-    port = free_port()
     args = parser.parse_args(
         [
             "listen",
             "--port",
-            str(port),
+            "0",
             "--quiet",
             "--windows-out",
             windows_path,
@@ -812,21 +859,14 @@ def test_listen_ingests_until_stopped(tmp_path, capsys):
             "5",
         ]
     )
-    stop = threading.Event()
-    result: list[int] = []
-    th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
-    th.start()
-    try:
-        with connect(port) as sock:
+    with listening(args) as (server, _, result):
+        with connect(server.address[1]) as sock:
             payload = "".join(
                 event_to_json_line(ev) + "\n"
                 for ev in make_events("AAAAAA", case_id="c")
             )
             sock.sendall(payload.encode("utf-8"))
             drain(sock)
-    finally:
-        stop.set()
-        th.join(timeout=5.0)
     assert result == [0]
     out = capsys.readouterr().out
     assert "events=6" in out
@@ -838,16 +878,12 @@ def test_listen_ingests_until_stopped(tmp_path, capsys):
 
 def test_listen_writes_each_record_as_it_closes(tmp_path, capsys):
     windows_path = tmp_path / "win.jsonl"
-    port = free_port()
     args = build_parsers()[0].parse_args(
-        ["listen", "--port", str(port), "--windows-out", str(windows_path)]
+        ["listen", "--port", "0", "--windows-out", str(windows_path)]
     )
-    stop = threading.Event()
-    th = threading.Thread(target=cmd_listen, args=(args, stop))
-    th.start()
-    try:
+    with listening(args) as (server, _, _):
         deadline = time.monotonic() + 5.0
-        with connect(port) as sock:
+        with connect(server.address[1]) as sock:
             # the fifth event closes the first window (min window size 5)
             events = make_events("AAAAAA", case_id="c")
             payload = "".join(event_to_json_line(ev) + "\n" for ev in events)
@@ -861,13 +897,35 @@ def test_listen_writes_each_record_as_it_closes(tmp_path, capsys):
             # a read's window lines reach stderr before any reply to it
             drain(sock)
             err = capsys.readouterr().err.splitlines()
-    finally:
-        stop.set()
-        th.join(timeout=5.0)
-    assert not th.is_alive()
     assert [parse_window_record(line).size for line in live.splitlines()] == [5]
     windows = [json.loads(ln)["size"] for ln in err if ln.startswith("{")]
     assert windows == [5]
+
+
+@pytest.mark.parametrize("bad", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES)
+def test_listen_answers_an_undecodable_line_and_keeps_the_connection(capsys, bad):
+    """The events on both sides of the line are windowed, and the line
+    gets its ERR reply in its place."""
+    args = build_parsers()[0].parse_args(
+        ["listen", "--port", "0", "--quiet"]
+        + ["--strategy", "count_tumbling", "--count", "1"]
+    )
+    events = [Event("c", "A", t) for t in range(5)]
+    lines = [event_to_json_line(ev) for ev in events]
+    payload = "\n".join([*lines[:4], bad, lines[4]]) + "\n"
+    with listening(args) as (server, _, result):
+        with connect(server.address[1]) as sock:
+            sock.sendall(payload.encode("utf-8"))
+            line = reply(sock)
+            assert line.startswith(b"ERR bad_json: invalid JSON: "), line
+            drain(sock)
+    assert result == [0]
+    stats = server.stats
+    assert (stats.received, stats.delivered, stats.dropped) == (5, 5, 0)
+    assert stats.parse_errors == 2  # the undecodable line and the drain line
+    out, err = capsys.readouterr()
+    assert "events=5 dropped=0 windows=5" in out
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("port", [None, 70000, -1], ids=["taken", "70000", "-1"])
@@ -917,18 +975,14 @@ def test_listen_stops_cleanly_when_an_output_fails(
     other = "--sizes-csv" if failing == "--windows-out" else "--windows-out"
     other_path = tmp_path / "other"
     opened = opened_files(monkeypatch)
-    port = free_port()
     args = build_parsers()[0].parse_args(
-        ["listen", "--port", str(port), "--strategy", "count_tumbling", "--count", "2"]
+        ["listen", "--port", "0", "--strategy", "count_tumbling", "--count", "2"]
         + [failing, "/dev/full", other, str(other_path)]
     )
     late_ts = 10**12
     late = [Event("late", "L", late_ts + i) for i in range(4)]
-    stop = threading.Event()
-    result: list[int] = []
-    th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
-    th.start()
-    try:
+    with listening(args) as (server, stop, result):
+        port = server.address[1]
         with connect(port) as sock:
             lines = [event_to_json_line(Event("c", "A", t)) + "\n" for t in range(events)]
             sock.sendall("".join(lines).encode("utf-8"))
@@ -942,9 +996,6 @@ def test_listen_stops_cleanly_when_an_output_fails(
                         "".join(event_to_json_line(e) + "\n" for e in late).encode()
                     )
                     drain(sock)
-    finally:
-        stop.set()
-        th.join(timeout=5.0)
     assert result == [1]
     out, err = capsys.readouterr()
     assert "Traceback" not in err
@@ -1085,22 +1136,14 @@ def listen_to(connections):
     """A ``run`` for ``outputs_of`` that feeds ``connections`` to ``cmd_listen``."""
 
     def run(args):
-        stop = threading.Event()
-        result: list[int] = []
-        th = threading.Thread(target=lambda: result.append(cmd_listen(args, stop)))
-        th.start()
-        try:
+        with listening(args) as (server, _, result):
             for sends in connections:
-                with connect(args.port) as sock:
+                with connect(server.address[1]) as sock:
                     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     for data in sends:
                         sock.sendall(data)
                         time.sleep(0.001)  # let the listener read each send
                     drain(sock)
-        finally:
-            stop.set()
-            th.join(timeout=5.0)
-        assert not th.is_alive()
         return result[0]
 
     return run
@@ -1124,7 +1167,7 @@ def test_listen_writes_what_analyze_writes_for_the_same_events(flags, session):
         windows, sizes = os.path.join(workdir, "w.jsonl"), os.path.join(workdir, "s.csv")
         analyze = ["analyze", path, "--verbose", *flags]
         analyzed = outputs_of(analyze, windows, sizes, lambda args: args.func(args))
-        argv = ["listen", "--port", str(free_port()), *flags]
+        argv = ["listen", "--port", "0", *flags]
         assert outputs_of(argv, windows, sizes, listen_to(connections)) == analyzed
 
 

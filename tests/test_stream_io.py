@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +26,11 @@ from coverwin import (
     parse_event,
     replay,
 )
+from coverwin.driftgen import SCENARIO_NAMES, builtin_scenario, generate
 from coverwin.stream_io import (
     FILE_CSV,
     FILE_JSONL,
+    _COMPACT_EVENT,
     _MAX_LINE,
     _READ_SIZE,
     ServerStats,
@@ -126,16 +130,23 @@ def test_timestamp_forms(value, expected):
 
 
 def reference_parse_jsonl(line, line_no=None):
-    """parse_event(line, "jsonl") as written before its scanner fast path."""
+    """parse_event(line, "jsonl") as json.loads alone gives it, without
+    the compact-line match and the scanner stage ahead of it."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise ParseError("bad_json", "event line must be a JSON object", line_no)
     if not {"case", "activity", "timestamp"} <= obj.keys():
         raise ParseError("missing_field", "need keys case, activity, timestamp", line_no)
     return _make_event(obj["case"], obj["activity"], obj["timestamp"], line_no)
+
+
+def compact_line(case, activity, timestamp):
+    """An event line in the compact form ``event_to_json_line`` writes,
+    with each value's JSON text as given."""
+    return f'{{"case":{case},"activity":{activity},"timestamp":{timestamp}}}'
 
 
 def parse_outcome(parse, line, line_no):
@@ -215,12 +226,65 @@ def test_parse_jsonl_fast_path_matches_json_loads(prefix, body, suffix, line_no)
         '{"case":" c ","activity":" a|b ","timestamp":1}',
         '{"case":"c","activity":"a","timestamp":true}',
         '{"case":"c","activity":"a","timestamp":1.0}',
+        # the compact form's timestamp: sign, leading zero, digit count, digit kind
+        pytest.param(compact_line('"c"', '"a"', "-0"), id="ts-minus-zero"),
+        pytest.param(compact_line('"c"', '"a"', "01"), id="ts-leading-zero"),
+        pytest.param(compact_line('"c"', '"a"', "9" * 18), id="ts-18-digits"),
+        pytest.param(compact_line('"c"', '"a"', "-" + "9" * 18), id="ts-minus-18"),
+        pytest.param(compact_line('"c"', '"a"', "1" * 19), id="ts-19-digits"),
+        pytest.param(compact_line('"c"', '"a"', "1" * 4300), id="ts-4300-digits"),
+        pytest.param(compact_line('"c"', '"a"', "1" * 4301), id="ts-4301-digits"),
+        pytest.param(compact_line('"c"', '"a"', "\u0661\u0662"), id="ts-arabic-indic"),
+        pytest.param(compact_line('"c"', '"a"', "1\u0662"), id="ts-arabic-indic-tail"),
+        # its strings: escapes, raw control and non-ASCII characters, padding, separator
+        pytest.param(compact_line('"c\\u00e4"', '"a"', "1"), id="str-escape-case"),
+        pytest.param(compact_line('"c"', '"a\\n"', "1"), id="str-escape-activity"),
+        pytest.param(compact_line('"c\x1f"', '"a"', "1"), id="str-raw-x1f-case"),
+        pytest.param(compact_line('"c"', '"a\x1fb"', "1"), id="str-raw-x1f"),
+        pytest.param(compact_line('"c"', '"\x00"', "1"), id="str-raw-nul"),
+        pytest.param(compact_line('"c\u00e4"', '"\u5ba1\u6279"', "1"), id="str-utf"),
+        pytest.param(compact_line('"\xa0c\xa0"', '"\x85a\x85"', "1"), id="str-padded"),
+        pytest.param(compact_line('"\xa0"', '"a"', "1"), id="str-nbsp-case"),
+        pytest.param(compact_line('"c"', '"\x85"', "1"), id="str-nel-activity"),
+        pytest.param(compact_line('"c"', '"a|b"', "1"), id="str-separator"),
+        # its shape: the optional newline, a repeated key, a CRLF ending, key order
+        pytest.param(compact_line('"c"', '"a"', "1") + "\n", id="shape-newline"),
+        pytest.param(
+            '{"case":"c","case":"d","activity":"a","timestamp":1}', id="shape-dup-key"
+        ),
+        pytest.param(compact_line('"c"', '"a"', "1") + "\r\n", id="shape-crlf"),
+        pytest.param('{"activity":"a","case":"c","timestamp":1}', id="shape-key-order"),
+        # its fields: case ids around int()'s digit limit; nesting too deep to decode
+        pytest.param(compact_line("7" * 4300, '"a"', "1"), id="case-4300-digits"),
+        pytest.param(compact_line("7" * 5000, '"a"', "1"), id="case-5000-digits"),
+        pytest.param("[" * 5000, id="deep-nesting"),
     ],
 )
 def test_parse_jsonl_edge_lines_match_json_loads(line):
     assert parse_outcome(parse_event, line, None) == parse_outcome(
         reference_parse_jsonl, line, None
     )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_written_event_lines_take_the_compact_path(tmp_path, monkeypatch):
+    """Every line ``write_events_jsonl`` writes for the built-in scenarios
+    and the benchmark's workloads is one ``parse_event`` reads with its
+    compact-line match, so a change to ``event_to_json_line``'s format
+    cannot quietly move ``driftgen`` output and benchmark inputs onto the
+    slower general path."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    streams = [generate(builtin_scenario(name))[0] for name in SCENARIO_NAMES]
+    streams += [w.events(seed=1) for w in workloads.WORKLOADS.values()]
+    path = tmp_path / "ev.jsonl"
+    for events in streams:
+        write_events_jsonl(events, str(path))
+        with open(path, encoding="utf-8", newline="") as fp:
+            off_path = [line for line in fp if not _COMPACT_EVENT(line)]
+        assert off_path == []
 
 
 # --- replay ------------------------------------------------------------------

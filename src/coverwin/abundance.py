@@ -46,15 +46,6 @@ class AbundanceStats:
         elif count == 3:
             self.f2 -= 1
 
-    def reset(self) -> None:
-        """Drop all counts, returning to the empty state."""
-        self.n = 0
-        # fresh dict so that anything still holding the old one keeps a
-        # consistent snapshot of the closed window
-        self.counts = {}
-        self.f1 = 0
-        self.f2 = 0
-
 
 def coverage(stats: AbundanceStats) -> float:
     """Estimated probability that the next observation is a known species.

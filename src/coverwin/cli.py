@@ -20,7 +20,7 @@ import sys
 import threading
 from dataclasses import asdict, astuple, fields, replace
 from math import isfinite
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from . import driftgen
 from .abundance import AbundanceStats, estimates
@@ -259,7 +259,7 @@ def _open_sizes_csv(path: str) -> TextIO:
 
 
 class _RecordWriter:
-    """Streams closed windows to the configured outputs as they happen.
+    """Windows events with ``strategy`` and streams closed windows to the outputs.
 
     Keeps running aggregates for the run summary instead of the records,
     so memory does not grow with the stream.  With ``verbose``, each window's
@@ -271,8 +271,11 @@ class _RecordWriter:
     ``StopServing``, which ends a server's ingest.
     """
 
-    def __init__(self, verbose: bool, stop: threading.Event | None = None) -> None:
+    def __init__(
+        self, strategy: Windower, verbose: bool, stop: threading.Event | None = None
+    ) -> None:
         self.verbose = verbose
+        self._strategy = strategy
         self.failure: OSError | None = None
         self._stop = stop
         self.windows = 0
@@ -296,19 +299,15 @@ class _RecordWriter:
         )
         self._sizes_fp = _open_sizes_csv(args.sizes_csv) if args.sizes_csv else None
 
-    def sink(self, strategy: Windower) -> Callable[[Event], None]:
+    def process(self, event: Event) -> None:
         """The callback for ``replay`` or the server: window, emit what closes."""
+        record = self._strategy.process_event(event)
+        if record is not None:
+            self.emit(record)
 
-        def process(event: Event) -> None:
-            record = strategy.process_event(event)
-            if record is not None:
-                self.emit(record)
-
-        return process
-
-    def flush(self, strategy: Windower) -> None:
+    def flush(self) -> None:
         """Emit the window still open at the end of the stream."""
-        final = strategy.flush()
+        final = self._strategy.flush()
         if final is not None:
             self.emit(final)
 
@@ -411,20 +410,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     source = _make_source(args)
-    strategy = _make_strategy(args)
-    writer = _RecordWriter(verbose=args.verbose)
-    process = writer.sink(strategy)
+    writer = _RecordWriter(_make_strategy(args), verbose=args.verbose)
 
     def sink(event: Event) -> None:
-        process(event)
+        writer.process(event)
         writer.publish()  # stderr gets each window's line as it closes
 
     # a missing or unreadable input fails here, before the outputs are truncated
     open(source.path, "rb").close()
     try:
         writer.open_outputs(args)
-        replay_stats = replay(source, sink if args.verbose else process)
-        writer.flush(strategy)
+        replay_stats = replay(source, sink if args.verbose else writer.process)
+        writer.flush()
         writer.publish()
     finally:
         writer.close()
@@ -548,10 +545,10 @@ def cmd_listen(
         for signum in (signal.SIGINT, signal.SIGTERM):
             signal.signal(signum, lambda *_: stop_event.set())
     # an output that fails stops the run as a signal does
-    writer = _RecordWriter(verbose=not args.quiet, stop=stop_event)
+    writer = _RecordWriter(strategy, verbose=not args.quiet, stop=stop_event)
     try:
         server = StreamServer(
-            writer.sink(strategy),
+            writer.process,
             host=args.host,
             port=args.port,
             strict_order=not args.lenient,
@@ -570,7 +567,7 @@ def cmd_listen(
         stats = server.stop()
         try:
             with contextlib.suppress(StopServing):  # the failure is kept either way
-                writer.flush(strategy)
+                writer.flush()
         finally:
             writer.close()
             # the open window's line, and those of a read that StopServing cut short

@@ -129,7 +129,7 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
                 obj, end = _scan_json(line, 0)
                 if end != len(line) and line[end:] != "\n":
                     raise ValueError("more than a newline after the value")
-            except Exception:
+            except (StopIteration, ValueError, RecursionError):
                 # surrounding whitespace, a BOM, trailing data or a failed scan:
                 # json.loads decides, and words every error; an over-long
                 # integer raises ValueError and too deep nesting RecursionError
@@ -190,15 +190,17 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     Strict ordering raises OrderingError on the first timestamp
     regression; lenient ordering drops and counts regressing events.
     Blank lines and a leading UTF-8 byte order mark are skipped; the CSV
-    header row is required.
+    header row is required.  Each line is decoded as UTF-8 with bad bytes
+    replaced and stripped, as the TCP listener takes its lines.
     """
     fmt = source.kind
     stats = ReplayStats()
     last_ts: int | None = None
     header_seen = fmt != FILE_CSV
-    with open(source.path, encoding="utf-8-sig", newline="") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            if not line.strip():
+    with open(source.path, encoding="utf-8-sig", errors="replace", newline="") as fp:
+        for line_no, raw in enumerate(fp, start=1):
+            line = raw.strip()
+            if not line:
                 continue
             if not header_seen:
                 header_seen = True

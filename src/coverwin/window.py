@@ -217,7 +217,7 @@ class Windower:
         )
         self.windows_closed += 1
         self._buffer = []
-        self._stats.reset()
+        self._stats = AbundanceStats()
         return record
 
 
@@ -245,21 +245,20 @@ class AdaptiveWindow(Windower):
     def __init__(
         self,
         view: SpeciesView,
-        threshold: ThresholdState | None = None,
+        threshold: ThresholdState = ThresholdState(),
         min_window_size: int = 5,
     ) -> None:
         if min_window_size < 1:
             raise ValueError("min_window_size must be at least 1")
         super().__init__(view)
-        params = threshold if threshold is not None else ThresholdState()
         self.min_window_size = min_window_size
-        self._params = params
-        self._threshold = params.ct
-        self._sf = params.sf
-        self._dr = params.dr
-        self._mt = params.mt
-        self._delta = params.delta
-        self._stagnant_run = params.w - 1
+        self._params = threshold
+        self._threshold = threshold.ct
+        self._sf = threshold.sf
+        self._dr = threshold.dr
+        self._mt = threshold.mt
+        self._delta = threshold.delta
+        self._stagnant_run = threshold.w - 1
         self._prev = 0.0
         self._prev2 = 0.0
         self._flat_run = 0

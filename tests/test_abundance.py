@@ -65,14 +65,6 @@ def test_counter_transitions():
     assert stats.n == 4
 
 
-def test_reset_clears_everything():
-    stats = observe_all("ABAB")
-    stats.reset()
-    assert (stats.n, stats.s_n, stats.f1, stats.f2) == (0, 0, 0, 0)
-    stats.observe("Z")
-    assert (stats.n, stats.s_n, stats.f1, stats.f2) == (1, 1, 1, 0)
-
-
 def test_estimates_coverage_is_the_close_criterion():
     stats = observe_all("ABACBDACE")
     assert estimates(stats)[2] == coverage(stats)

@@ -12,6 +12,7 @@ import math
 import os
 import queue
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -52,13 +53,21 @@ from coverwin.stream_io import (
     event_to_json_line,
     write_events_jsonl,
 )
-from coverwin.views import VIEW_KINDS, Event, ViewConfig
-from coverwin.window import ThresholdState, WindowRecord
+from coverwin.views import VIEW_KINDS, Event, SpeciesView, ViewConfig
+from coverwin.window import ThresholdState, Windower, WindowRecord
 
 from conftest import DATA_DIR, dumps_window_record, make_events, parse_window_record
 
 WORKED = f"{DATA_DIR}/worked_example.jsonl"
 ROOT = Path(__file__).resolve().parents[1]
+SRC_DIR = os.path.dirname(os.path.dirname(coverwin.__file__))
+
+
+def checkout_env():
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def sizes_cells(r):
@@ -212,7 +221,8 @@ def test_analyze_verbose_prints_window_lines(tmp_path, capsys):
 def test_record_writer_keeps_no_record(tmp_path, capsys):
     sizes_path = str(tmp_path / "sizes.csv")
     args = argparse.Namespace(windows_out=None, sizes_csv=sizes_path)
-    writer = _RecordWriter(verbose=False)
+    strategy = Windower(SpeciesView(ViewConfig()))
+    writer = _RecordWriter(strategy, verbose=False)
     writer.open_outputs(args)
     events = tuple(make_events("AB"))
     record = WindowRecord(0, events, 2, 0, 1000, 0.5, 0.5, 2.0, 0.9)
@@ -226,7 +236,7 @@ def test_record_writer_keeps_no_record(tmp_path, capsys):
     assert "windows=1 mean_size=2 min_size=2 max_size=2" in capsys.readouterr().out
     header = ["index", "size", "first_ts", "last_ts", "coverage", "threshold"]
     assert read_csv(sizes_path) == [header, ["0", "2", "0", "1000", "0.5", "0.9"]]
-    writer = _RecordWriter(verbose=False)
+    writer = _RecordWriter(strategy, verbose=False)
     writer.open_outputs(args)
     writer.close()
     assert read_csv(sizes_path) == [header]
@@ -461,9 +471,16 @@ def test_config_boolean_coercion(tmp_path, capsys):
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("lenient = yes\n", encoding="utf-8")
-    assert main(["analyze", str(path), "--config", str(cfg)]) == 0
-    assert "dropped=1" in capsys.readouterr().out
+    for verbose in ("", "verbose = off\n"):
+        cfg.write_text("lenient = yes\n" + verbose, encoding="utf-8")
+        assert main(["analyze", str(path), "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert "dropped=1" in out
+        assert err == ""  # no window line: verbose stayed off
+    cfg.write_text("verbose = maybe\n", encoding="utf-8")
+    assert main(["analyze", str(path), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "expected a boolean for verbose, got 'maybe'" in err
 
 
 def test_config_unknown_key_fails(tmp_path, capsys):
@@ -538,6 +555,17 @@ def test_bench_latency_rejects_unusable_input(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("coverwin: ")
+
+
+def test_bench_latency_rejects_a_size_list_that_is_not_one(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "latency", "--sizes", "5,x"])
+    assert exc.value.code == 2
+    assert "not a size list: '5,x'" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("sizes = 5,x\n", encoding="utf-8")
+    assert main(["bench", "latency", "--config", str(cfg)]) == 2
+    assert "config error: not a size list: '5,x'" in capsys.readouterr().err
 
 
 def test_bench_throughput(tmp_path, capsys):
@@ -1037,6 +1065,40 @@ class CountingStderr:
         pass
 
 
+def test_listen_run_as_a_program_stops_cleanly_on_sigterm(tmp_path):
+    """``listen`` run as a program sets its own SIGTERM handler: the signal
+    ends the run with exit 0, the summary, and every event in the file."""
+    windows = tmp_path / "w.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coverwin.cli", "listen", "--port", "0"]
+        + ["--windows-out", str(windows)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=checkout_env(),
+    )
+    killer = threading.Timer(60.0, proc.kill)  # bounds every wait below
+    killer.start()
+    try:
+        first = proc.stderr.readline()
+        assert first.startswith("listening on "), first
+        events = make_events("ABCABCABCABC", case_id="c")
+        with connect(int(first.rsplit(":", 1)[1])) as sock:
+            sock.sendall("".join(event_to_json_line(e) + "\n" for e in events).encode())
+            drain(sock)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate()
+    finally:
+        killer.cancel()
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert f"events={len(events)} dropped=0 " in out
+    assert "Traceback" not in err
+    lines = windows.read_text(encoding="utf-8").splitlines()
+    assert [e for line in lines for e in parse_window_record(line).events] == events
+
+
 def test_listen_writes_the_window_lines_of_a_read_with_one_call(monkeypatch):
     args = build_parsers()[0].parse_args(
         ["listen", "--strategy", "count_tumbling", "--count", "2"]
@@ -1045,8 +1107,8 @@ def test_listen_writes_the_window_lines_of_a_read_with_one_call(monkeypatch):
     stderr = CountingStderr()
     monkeypatch.setattr(sys, "stderr", stderr)
 
-    writer = _RecordWriter(verbose=True, stop=threading.Event())
-    server = StreamServer(writer.sink(_make_strategy(args)), on_batch=writer.publish)
+    writer = _RecordWriter(_make_strategy(args), verbose=True, stop=threading.Event())
+    server = StreamServer(writer.process, on_batch=writer.publish)
     try:
         assert server._deliver(events) == 0
     finally:
@@ -1056,11 +1118,10 @@ def test_listen_writes_the_window_lines_of_a_read_with_one_call(monkeypatch):
     # on_batch does not run for a read that on_event stopped partway: the
     # lines of its windows wait for the publish listen makes at shutdown
     stderr.writes.clear()
-    writer = _RecordWriter(verbose=True, stop=threading.Event())
-    sink = writer.sink(_make_strategy(args))
+    writer = _RecordWriter(_make_strategy(args), verbose=True, stop=threading.Event())
 
     def stopping(event):
-        sink(event)
+        writer.process(event)
         if event.timestamp == 4:
             raise StopServing
 
@@ -1153,7 +1214,7 @@ def listen_to(connections):
     "flags",
     [("--strategy", "adaptive"), ("--strategy", "count_tumbling", "--count", "20")],
 )
-# each listen run waits up to 0.5 s in stop() for serve_forever's poll
+# each listen run waits up to 0.05 s in stop() for serve_forever's poll
 @settings(max_examples=3, deadline=None)
 @given(session=listen_sessions())
 @example(session=scenario_session("sudden"))
@@ -1200,12 +1261,8 @@ def test_console_script_is_installed(tmp_path):
     )
     wrapper.chmod(0o755)
 
-    env = dict(os.environ)
+    env = checkout_env()
     env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
-    src_dir = os.path.dirname(os.path.dirname(coverwin.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p
-    )
     exe = shutil.which("coverwin", path=env["PATH"])
     assert exe == str(wrapper), "console script not on PATH"
 
@@ -1223,12 +1280,10 @@ def test_console_script_is_installed(tmp_path):
 
 def run_python(code):
     """Run ``code`` in a fresh interpreter on this checkout; returns its stdout."""
-    src_dir = os.path.dirname(os.path.dirname(coverwin.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    env = checkout_env()
     code += (
         "\nimport coverwin\n"
-        f"assert coverwin.__file__.startswith({src_dir!r}), coverwin.__file__\n"
+        f"assert coverwin.__file__.startswith({SRC_DIR!r}), coverwin.__file__\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env

@@ -98,6 +98,8 @@ def test_spec_validation():
         small_spec(kind=RECURRING, season_length=0)
     with pytest.raises(ValueError):
         small_spec(kind=INCREMENTAL, increments=0)  # wrong pool count too
+    with pytest.raises(ValueError, match="increments must be at least 1"):
+        small_spec(kind=INCREMENTAL, increments=0, pools=(make_pool("A"),))
     with pytest.raises(ValueError):
         small_spec(kind=INCREMENTAL, pools=(make_pool("A"), make_pool("B")))
 
@@ -249,6 +251,24 @@ def test_spec_from_json(tmp_path):
     assert spec.pools[0].variants[1][1] == 1.0
     events, _ = generate(spec)
     assert events
+
+
+def test_spec_from_json_reads_a_gradual_ramp(tmp_path):
+    payload = {
+        "kind": "gradual",
+        "total_cases": 20,
+        "ramp_interval": [0.25, 0.75],
+        "pools": [
+            {"variants": [{"activities": ["A", "B"]}]},
+            {"variants": [{"activities": ["A", "C"]}]},
+        ],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    spec = spec_from_json(str(path))
+    assert (spec.kind, spec.ramp_interval) == (GRADUAL, (0.25, 0.75))
+    _, annotations = generate(spec)
+    assert annotations.drift_case_indices == (5, 15)
 
 
 def test_builtin_scenarios_generate():

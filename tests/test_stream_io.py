@@ -26,6 +26,7 @@ from coverwin import (
     parse_event,
     replay,
 )
+from coverwin.cli import main
 from coverwin.driftgen import SCENARIO_NAMES, builtin_scenario, generate
 from coverwin.stream_io import (
     FILE_CSV,
@@ -183,6 +184,29 @@ event_objects = st.one_of(
     ),
     st.dictionaries(st.sampled_from(event_keys + ["extra"]), field_values),
 )
+# compact-shaped lines with one odd part: strings with quotes, escapes or
+# raw control characters, or a timestamp with non-ASCII digits, each of
+# which the compact match must leave to the JSON decoder
+odd_text = st.text(alphabet=st.sampled_from('ab "\\\x00\x1f\t\u00e4'), max_size=6)
+plain_strings = st.sampled_from(['"c"', '"a"', '" a "', '"\u00e4"', '"a|b"', '""'])
+odd_strings = st.one_of(
+    st.builds(json.dumps, odd_text, ensure_ascii=st.booleans()),
+    odd_text.map(lambda text: f'"{text}"'),  # raw, often no valid JSON
+)
+plain_timestamps = st.integers(-(10**20), 10**20).map(str)
+odd_timestamps = st.text(
+    alphabet=st.sampled_from("-0123\u0661\u0662\uff13"), min_size=1, max_size=5
+)
+compact_lines = st.builds(
+    lambda parts, end: compact_line(*parts) + end,
+    st.one_of(
+        st.tuples(odd_strings, plain_strings, plain_timestamps),
+        st.tuples(plain_strings, odd_strings, plain_timestamps),
+        st.tuples(plain_strings, plain_strings, odd_timestamps),
+        st.tuples(odd_strings, odd_strings, odd_timestamps),
+    ),
+    st.sampled_from(["", "\n"]),
+)
 json_bodies = st.one_of(
     st.builds(
         json.dumps,
@@ -197,17 +221,15 @@ json_bodies = st.one_of(
     ),
 )
 affixes = st.sampled_from(["", " ", "\n", "\r\n", "\ufeff", "\x0b", ",1", "\t", "}", "\n\n"])
+lines = st.one_of(
+    compact_lines,
+    st.builds(lambda *parts: "".join(parts), affixes, json_bodies, affixes),
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    prefix=affixes,
-    body=json_bodies,
-    suffix=affixes,
-    line_no=st.one_of(st.none(), st.integers(1, 10**6)),
-)
-def test_parse_jsonl_fast_path_matches_json_loads(prefix, body, suffix, line_no):
-    line = prefix + body + suffix
+@given(line=lines, line_no=st.one_of(st.none(), st.integers(1, 10**6)))
+def test_parse_jsonl_fast_path_matches_json_loads(line, line_no):
     assert parse_outcome(parse_event, line, line_no) == parse_outcome(
         reference_parse_jsonl, line, line_no
     )
@@ -682,6 +704,33 @@ def test_server_one_send_matches_line_by_line():
         "ERR missing_field",
         "ERR bad_json",
     ]
+
+
+def test_a_file_is_read_the_way_listen_reads_a_connection(tmp_path, capsys):
+    """The same bytes give the same events through ``replay`` and the
+    server: an invalid UTF-8 byte is replaced, and each line is stripped,
+    a vertical tab and a CRLF ending included."""
+    data = (
+        event_line("c", "A", 1)
+        + b'{"case":"c","activity":"B\xff","timestamp":2}\n'
+        + b"\x0b"
+        + event_line("c", "C", 3).rstrip(b"\n")
+        + b"\x0b\r\n"
+    )
+    path = tmp_path / "ev.jsonl"
+    path.write_bytes(data)
+    from_file = []
+    replay(SourceConfig(FILE_JSONL, str(path)), from_file.append)
+    from_server, stats, replies = run_server([data])
+    assert from_file == from_server
+    assert from_file == [
+        Event("c", "A", 1),
+        Event("c", "B\ufffd", 2),
+        Event("c", "C", 3),
+    ]
+    assert (stats.parse_errors, replies) == (0, [])
+    assert main(["analyze", str(path)]) == 0
+    assert "events=3 dropped=0" in capsys.readouterr().out
 
 
 def test_server_joins_split_lines_and_takes_an_unterminated_last_line():

@@ -1,17 +1,18 @@
 """Event ingestion and result serialization.
 
 Inputs: JSON-lines or CSV event files replayed in file order, or a
-line-delimited TCP listener.  All paths funnel into a single ordered
-pipeline; timestamps must be non-decreasing.  In strict mode a timestamp
-regression is an error, in lenient mode the offending event is dropped
-and counted.  The TCP listener has no queue, so TCP slows a sender that
-outruns windowing.
+line-delimited TCP listener, both split into lines by ``_split_reads``.
+All paths funnel into a single ordered pipeline; timestamps must be
+non-decreasing.  In strict mode a timestamp regression is an error, in
+lenient mode the offending event is dropped and counted.  The TCP
+listener has no queue, so TCP slows a sender that outruns windowing.
 
 Outputs: window records as JSON lines, metric series as CSV.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import re
@@ -189,41 +190,47 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
 
     Strict ordering raises OrderingError on the first timestamp
     regression; lenient ordering drops and counts regressing events.
-    Blank lines and a leading UTF-8 byte order mark are skipped; the CSV
-    header row is required.  Each line is decoded as UTF-8 with bad bytes
-    replaced and stripped, as the TCP listener takes its lines.
+    Lines come from ``_split_reads``, as the TCP listener's do; a line over
+    ``_MAX_LINE`` bytes ends the run with ParseError ``line_too_long``.
+    Blank lines and a UTF-8 byte order mark at byte 0 are skipped; the CSV
+    header row is required.  Errors name line numbers, blank lines counted.
     """
     fmt = source.kind
     stats = ReplayStats()
     last_ts: int | None = None
     header_seen = fmt != FILE_CSV
-    with open(source.path, encoding="utf-8-sig", errors="replace", newline="") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if not header_seen:
-                header_seen = True
-                cells = [c.strip() for c in next(csv.reader([line]))]
-                if [c.lower() for c in cells] == list(CSV_HEADER):
+    line_no = 0
+    with open(source.path, "rb") as fp:
+        if fp.peek(3).startswith(codecs.BOM_UTF8):
+            fp.read(3)  # as utf-8-sig reads: a byte order mark only at byte 0
+        for lines in _split_reads(fp.read1):
+            if lines is None:
+                raise _line_too_long(line_no + 1)
+            for line_no, line in enumerate(lines, line_no + 1):
+                if not line:
                     continue
-                raise ParseError(
-                    "missing_header",
-                    f"first CSV line must be the header {','.join(CSV_HEADER)}",
-                    line_no,
-                )
-            event = parse_event(line, fmt, line_no)
-            if last_ts is not None and event.timestamp < last_ts:
-                if source.strict_order:
-                    raise OrderingError(
-                        f"timestamp went backwards at line {line_no}: "
-                        f"{event.timestamp} < {last_ts}"
+                if not header_seen:
+                    header_seen = True
+                    cells = [c.strip() for c in next(csv.reader([line]))]
+                    if [c.lower() for c in cells] == list(CSV_HEADER):
+                        continue
+                    raise ParseError(
+                        "missing_header",
+                        f"first CSV line must be the header {','.join(CSV_HEADER)}",
+                        line_no,
                     )
-                stats.dropped += 1
-                continue
-            last_ts = event.timestamp
-            sink(event)
-            stats.delivered += 1
+                event = parse_event(line, fmt, line_no)
+                if last_ts is not None and event.timestamp < last_ts:
+                    if source.strict_order:
+                        raise OrderingError(
+                            f"timestamp went backwards at line {line_no}: "
+                            f"{event.timestamp} < {last_ts}"
+                        )
+                    stats.dropped += 1
+                    continue
+                last_ts = event.timestamp
+                sink(event)
+                stats.delivered += 1
     return stats
 
 
@@ -237,21 +244,27 @@ class _TcpServer(socketserver.ThreadingTCPServer):
 
 
 _READ_SIZE = 65536
-# longest line the listener takes, in bytes before its newline
+# longest line of a file or a connection, in bytes before its newline
 _MAX_LINE = 1 << 20
 # seconds between serve_forever's checks for shutdown: how long stop() waits at most
 _POLL_SECONDS = 0.05
 
 
-def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
-    """The non-blank lines of a byte stream, one list per read that ends a line.
+def _line_too_long(line_no: int | None = None) -> ParseError:
+    return ParseError("line_too_long", f"line over {_MAX_LINE} bytes", line_no)
 
-    Each line is decoded as UTF-8 with bad bytes replaced and stripped,
-    as iterating the stream line by line would give it.  The bytes of a
+
+def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
+    """The lines of a byte stream, one list per read that ends a line.
+
+    Files and connections alike become lines here.  A line ends only at
+    ``\\n``; each is decoded as UTF-8 with bad bytes replaced and stripped,
+    and a blank line comes as "", so lines can be counted.  The bytes of a
     line split across reads grow one tail until its newline arrives; a
     last line without a newline comes alone at EOF.  A line longer than
     ``_MAX_LINE`` bytes comes as one None as soon as a read takes it past
-    the cap, and its bytes are skipped through its newline.
+    the cap, and its bytes are skipped through its newline, so memory
+    stays bounded without newlines.
     """
     tail: bytearray | None = bytearray()  # None while skipping a refused line
     while chunk := read(_READ_SIZE):
@@ -270,14 +283,12 @@ def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
         if not cut:
             tail += chunk
             continue
-        tail += chunk[:cut]
+        tail += chunk[: cut - 1]
         text = tail.decode("utf-8", "replace")
         tail = bytearray(chunk[cut:])
-        yield [line for line in map(str.strip, text.split("\n")) if line]
+        yield list(map(str.strip, text.split("\n")))
     if tail:
-        line = tail.decode("utf-8", "replace").strip()
-        if line:
-            yield [line]
+        yield [tail.decode("utf-8", "replace").strip()]
 
 
 class _StreamHandler(socketserver.StreamRequestHandler):
@@ -286,30 +297,31 @@ class _StreamHandler(socketserver.StreamRequestHandler):
         for lines in _split_reads(self.rfile.read1):
             if lines is None:
                 # every earlier line was windowed when its read was
-                error = f"ERR line_too_long: line over {_MAX_LINE} bytes"
-                self._submit(owner, [], error)
+                self._submit(owner, [], _line_too_long())
                 continue
             batch: list[Event] = []
             for line in lines:
+                if not line:
+                    continue
                 try:
                     batch.append(parse_event(line, "jsonl"))
                 except ParseError as exc:
                     # window the events before a bad line ahead of its reply
-                    self._submit(owner, batch, f"ERR {exc.code}: {exc}")
+                    self._submit(owner, batch, exc)
                     batch = []
             self._submit(owner, batch)
 
     def _submit(
-        self, owner: "StreamServer", batch: list[Event], error: str | None = None
+        self, owner: "StreamServer", batch: list[Event], error: ParseError | None = None
     ) -> None:
-        """Window ``batch``, answer its out-of-order events, then send ``error``."""
+        """Window ``batch``, answer its out-of-order events, then ``error``."""
         if batch or error:
             rejected = owner._deliver(batch, parse_error=error is not None)
             if owner.strict_order:
                 for _ in range(rejected):
                     self._reply("ERR out_of_order: timestamp went backwards")
             if error:
-                self._reply(error)
+                self._reply(f"ERR {error.code}: {error}")
 
     def _reply(self, message: str) -> None:
         try:

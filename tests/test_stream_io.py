@@ -11,10 +11,12 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coverwin import (
     Event,
@@ -35,6 +37,7 @@ from coverwin.stream_io import (
     _MAX_LINE,
     _READ_SIZE,
     ServerStats,
+    _StreamHandler,
     _make_event,
     _split_reads,
     event_to_json_line,
@@ -616,18 +619,22 @@ def test_split_reads_gives_the_lines_of_line_iteration(data, cuts):
     bounds = sorted({0, len(data), *(c for c in cuts if c < len(data))})
     chunks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
     got = [line for lines in _split_reads(chunked_reader(chunks)) for line in lines]
+    # blank lines come too, as "", so that a file's lines can be numbered
     want = [raw.decode("utf-8", errors="replace").strip() for raw in io.BytesIO(data)]
-    assert got == [line for line in want if line]
+    assert got == want
 
 
 class SizedReader:
-    """A ``read(n)`` handing over ``data`` in pieces of at most ``size`` bytes."""
+    """A ``read(n)`` handing over ``data`` in pieces of at most ``sizes``
+    bytes, one size after the other in turn."""
 
-    def __init__(self, data, size):
-        self.data, self.size, self.pos = data, size, 0
+    def __init__(self, data, *sizes):
+        self.data, self.sizes, self.pos, self.reads = data, sizes, 0, 0
 
     def __call__(self, n):
-        chunk = self.data[self.pos : self.pos + min(n, self.size)]
+        size = self.sizes[self.reads % len(self.sizes)]
+        self.reads += 1
+        chunk = self.data[self.pos : self.pos + min(n, size)]
         self.pos += len(chunk)
         return chunk
 
@@ -706,31 +713,158 @@ def test_server_one_send_matches_line_by_line():
     ]
 
 
-def test_a_file_is_read_the_way_listen_reads_a_connection(tmp_path, capsys):
-    """The same bytes give the same events through ``replay`` and the
-    server: an invalid UTF-8 byte is replaced, and each line is stripped,
-    a vertical tab and a CRLF ending included."""
-    data = (
-        event_line("c", "A", 1)
-        + b'{"case":"c","activity":"B\xff","timestamp":2}\n'
-        + b"\x0b"
-        + event_line("c", "C", 3).rstrip(b"\n")
-        + b"\x0b\r\n"
-    )
-    path = tmp_path / "ev.jsonl"
+def handle_in_process(read, strict_order=True, write=None):
+    """One connection through ``_StreamHandler.handle`` without a socket.
+
+    ``read`` is the connection's ``rfile.read1`` and ``write`` its
+    ``wfile.write``; by default a reply is logged.  The server is bound and
+    never started.  Returns the log, windowed events and reply lines in the
+    order they happened, and the server's counters.
+    """
+    log = []
+    server = StreamServer(log.append, port=0, strict_order=strict_order)
+    # no BaseRequestHandler.__init__, which would read a socket at once
+    handler = _StreamHandler.__new__(_StreamHandler)
+    handler.server = server._server
+    handler.rfile = SimpleNamespace(read1=read)
+    handler.wfile = SimpleNamespace(write=write or (lambda b: log.append(b.decode())))
+    try:
+        handler.handle()
+    finally:
+        stats = server.stop()
+    return log, stats
+
+
+# valid event lines of exactly the cap before their newline, and of a byte more
+_PAD = _MAX_LINE - len(event_line("c", "", 1)) + 1
+AT_CAP = event_line("c", "x" * _PAD, 1)
+OVER_CAP = event_line("c", "x" * (_PAD + 1), 1)
+stream_bytes = st.lists(
+    st.one_of(
+        st.builds(
+            lambda activity, ts, end: event_line("c", activity, ts)[:-1] + end,
+            st.sampled_from(["A", "B", "é"]),
+            st.integers(0, 3),
+            st.sampled_from([b"\n", b"\r\n", b"\r", b""]),
+        ),
+        st.sampled_from(
+            [b"\n", b"  \n", b"\r", b"\x0b", b"\xff", b"\xe2\x82", b"garbage\n"]
+            + [b'{"case":"c"}\n', AT_CAP, OVER_CAP]
+        ),
+    ),
+    max_size=10,
+).map(b"".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=stream_bytes,
+    strict_order=st.booleans(),
+    sizes=st.lists(st.integers(1, _READ_SIZE), min_size=1, max_size=3),
+)
+@example(  # invalid UTF-8 replaced; a vertical tab and a CRLF ending stripped
+    data=event_line("c", "A", 1)
+    + b'{"case":"c","activity":"B\xff","timestamp":2}\n'
+    + b"\x0b"
+    + event_line("c", "C", 3).rstrip(b"\n")
+    + b"\x0b\r\n",
+    strict_order=True,
+    sizes=[_READ_SIZE],
+)
+@example(  # a lone \r ends no line: one bad_json line, not two events
+    data=event_line("c", "A", 1)[:-1] + b"\r" + event_line("c", "B", 2),
+    strict_order=True,
+    sizes=[_READ_SIZE],
+)
+def test_a_file_is_read_the_way_listen_reads_a_connection(
+    tmp_path_factory, data, strict_order, sizes
+):
+    """The same bytes give the same events and the same first error
+    through ``replay`` and through the server's connection handler."""
+    assume(not data.startswith(b"\xef\xbb\xbf"))  # only a file skips a BOM
+    path = tmp_path_factory.getbasetemp() / "connection.jsonl"
     path.write_bytes(data)
-    from_file = []
-    replay(SourceConfig(FILE_JSONL, str(path)), from_file.append)
-    from_server, stats, replies = run_server([data])
-    assert from_file == from_server
-    assert from_file == [
-        Event("c", "A", 1),
-        Event("c", "B\ufffd", 2),
-        Event("c", "C", 3),
-    ]
-    assert (stats.parse_errors, replies) == (0, [])
-    assert main(["analyze", str(path)]) == 0
-    assert "events=3 dropped=0" in capsys.readouterr().out
+    from_file, file_error = [], None
+    try:
+        stats = replay(SourceConfig(FILE_JSONL, str(path), strict_order), from_file.append)
+    except ParseError as exc:
+        file_error = f"ERR {exc.code}"
+    except OrderingError:
+        file_error = "ERR out_of_order"
+    # the last size keeps a line over the cap to a few dozen reads
+    log, server_stats = handle_in_process(SizedReader(data, *sizes, _READ_SIZE), strict_order)
+    replies = [i for i, item in enumerate(log) if isinstance(item, str)]
+    first = replies[0] if replies else len(log)
+    assert (log[first].split(":")[0] if replies else None) == file_error
+    from_server = log[:first]
+    # the server windows a read's in-order events before it answers the
+    # regressions among them; a strict file run stops at the first
+    assert from_server[: len(from_file)] == from_file
+    if file_error != "ERR out_of_order":
+        assert from_server == from_file
+    if file_error is None:
+        assert (server_stats.delivered, server_stats.dropped) == (
+            stats.delivered,
+            stats.dropped,
+        )
+
+
+@pytest.mark.parametrize("lines_before", [0, 3000])
+def test_a_lone_cr_does_not_end_a_file_line(tmp_path, lines_before):
+    """A and B joined by a lone \\r are one bad line, numbered after every
+    line before it, blank lines and those of earlier reads included."""
+    before = (event_line("c", "A", 1) + b"\n \r\n") * lines_before
+    path = tmp_path / "ev.jsonl"
+    path.write_bytes(before + event_line("c", "A", 1)[:-1] + b"\r" + event_line("c", "B", 2))
+    assert len(before) > 2 * _READ_SIZE or not before
+    with pytest.raises(ParseError) as err:
+        replay(SourceConfig(FILE_JSONL, str(path)), lambda ev: None)
+    assert (err.value.code, err.value.line_no) == ("bad_json", 3 * lines_before + 1)
+
+
+def test_analyze_ends_at_a_file_line_over_the_cap(tmp_path, capsys):
+    events = [event_line("c", a, t) for a, t in (("A", 1), ("B", 2), ("x" * _MAX_LINE, 3))]
+    path = tmp_path / "ev.jsonl"
+    path.write_bytes(b"".join(events) + event_line("c", "D", 4))
+    out = tmp_path / "windows.jsonl"
+    flags = ["--strategy", "count_tumbling", "--count", "1", "--windows-out", str(out)]
+    assert main(["analyze", str(path), *flags]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == f"coverwin: input error: line over {_MAX_LINE} bytes (line 3)\n"
+    # the windows closed before the long line are written
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["events"][0]["activity"] for r in records] == ["A", "B"]
+
+
+def test_replay_of_a_file_without_newlines_holds_at_most_the_cap(tmp_path):
+    path = tmp_path / "flat.jsonl"
+    path.write_bytes(b"x" * (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            replay(SourceConfig(FILE_JSONL, str(path)), lambda ev: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.code, err.value.line_no) == ("line_too_long", 1)
+    assert peak < 3 << 20
+
+
+def test_a_reply_to_a_client_that_is_gone_is_dropped():
+    writes = []
+
+    def write(data):
+        writes.append(data)
+        raise BrokenPipeError
+
+    log, stats = handle_in_process(
+        chunked_reader([b"garbage\n", event_line("c", "A", 1)]), write=write
+    )
+    assert [w.split(b":")[0] for w in writes] == [b"ERR bad_json"]
+    # the handler went on to window its next read
+    assert log == [Event("c", "A", 1)]
+    assert stats == ServerStats(received=1, delivered=1, dropped=0, parse_errors=1)
 
 
 def test_server_joins_split_lines_and_takes_an_unterminated_last_line():

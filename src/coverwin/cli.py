@@ -15,14 +15,12 @@ import argparse
 import contextlib
 import json
 import os
-import signal
 import sys
 import threading
 from dataclasses import asdict, astuple, fields, replace
 from math import isfinite
 from typing import Iterable, Sequence, TextIO
 
-from . import driftgen
 from .abundance import AbundanceStats, estimates
 from .baselines import (
     BASELINE_KINDS,
@@ -49,7 +47,17 @@ from .stream_io import (
 from .views import VIEW_KINDS, Event, SpeciesView, ViewConfig
 from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
 
+# What only some commands run is imported inside them: bench, driftgen,
+# signal, and socketserver through StreamServer.  bench alone, with the
+# statistics module it pulls in, costs 12-17 ms, about a sixth of the
+# start-up of analyze and listen, which never use it.
+
 SIZES_HEADER = ("index", "size", "first_ts", "last_ts", "coverage", "threshold")
+# driftgen's built-in scenarios, named here so that building the parsers does
+# not import driftgen; a test pins them to its table
+SCENARIO_NAMES = (
+    "sudden", "gradual", "recurring", "incremental", "steady3", "steady5", "throughput"
+)
 _SEED_NOTE = "; incremental, steady3 and steady5 give the same events for every seed"
 
 
@@ -124,7 +132,7 @@ def _add_view_flags(p: argparse.ArgumentParser) -> None:
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scenario",
-        choices=driftgen.SCENARIO_NAMES,
+        choices=SCENARIO_NAMES,
         default="sudden",
         help="built-in scenario",
     )
@@ -377,6 +385,8 @@ class _RecordWriter:
 
 def _generate(args: argparse.Namespace) -> tuple:
     """Spec, events, annotations of ``--scenario`` or ``--spec``; ``--seed`` reseeds."""
+    from . import driftgen
+
     if args.scenario:
         spec = driftgen.builtin_scenario(args.scenario)
     else:
@@ -430,6 +440,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_driftgen(args: argparse.Namespace) -> int:
+    from . import driftgen
+
     if (args.scenario is None) == (args.spec is None):
         print("driftgen: give exactly one of --scenario or --spec", file=sys.stderr)
         return 2
@@ -453,9 +465,6 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_latency(args: argparse.Namespace) -> int:
-    # Importing bench costs 12-17 ms, with the statistics module it pulls
-    # in: about a sixth of the start-up of analyze and listen, which never
-    # use it.  So the bench commands import it when they run.
     from . import bench
 
     rows = bench.measure_latency(args.sizes, trials=args.trials)
@@ -539,6 +548,8 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 def cmd_listen(
     args: argparse.Namespace, stop_event: threading.Event | None = None
 ) -> int:
+    import signal
+
     strategy = _make_strategy(args)
     if stop_event is None:
         stop_event = threading.Event()
@@ -628,7 +639,7 @@ def build_parsers() -> tuple[
     p = command(subs, ("driftgen",), cmd_driftgen, "generate a drifting event stream")
     p.add_argument(
         "--scenario",
-        choices=driftgen.SCENARIO_NAMES,
+        choices=SCENARIO_NAMES,
         default=None,
         help="built-in scenario",
     )

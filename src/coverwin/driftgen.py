@@ -297,7 +297,6 @@ _SCENARIOS = {
     "steady5": DriftSpec(SUDDEN, (_FIVE_PLAIN, _FIVE_PLAIN), total_cases=300, seed=21),
     "throughput": DriftSpec(SUDDEN, (_SKEWED, _SKEWED), total_cases=20_000, seed=99),
 }
-SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def builtin_scenario(name: str) -> DriftSpec:

@@ -1,7 +1,8 @@
 """Event ingestion and result serialization.
 
 Inputs: JSON-lines or CSV event files replayed in file order, or a
-line-delimited TCP listener, both split into lines by ``_split_reads``.
+line-delimited TCP listener (its socket handler is in ``tcp``), both
+split into lines by ``_split_reads``.
 All paths funnel into a single ordered pipeline; timestamps must be
 non-decreasing.  In strict mode a timestamp regression is an error, in
 lenient mode the offending event is dropped and counted.  The TCP
@@ -12,11 +13,9 @@ Outputs: window records as JSON lines, metric series as CSV.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import re
-import socketserver
 import threading
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
@@ -192,8 +191,8 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     regression; lenient ordering drops and counts regressing events.
     Lines come from ``_split_reads``, as the TCP listener's do; a line over
     ``_MAX_LINE`` bytes ends the run with ParseError ``line_too_long``.
-    Blank lines and a UTF-8 byte order mark at byte 0 are skipped; the CSV
-    header row is required.  Errors name line numbers, blank lines counted.
+    Blank lines are skipped; the CSV header row is required.  Errors name
+    line numbers, blank lines counted.
     """
     fmt = source.kind
     stats = ReplayStats()
@@ -201,8 +200,6 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     header_seen = fmt != FILE_CSV
     line_no = 0
     with open(source.path, "rb") as fp:
-        if fp.peek(3).startswith(codecs.BOM_UTF8):
-            fp.read(3)  # as utf-8-sig reads: a byte order mark only at byte 0
         for lines in _split_reads(fp.read1):
             if lines is None:
                 raise _line_too_long(line_no + 1)
@@ -234,13 +231,7 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     return stats
 
 
-# --- TCP listener ---------------------------------------------------------
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    owner: "StreamServer"
+# --- line reading and the TCP listener -------------------------------------
 
 
 _READ_SIZE = 65536
@@ -264,8 +255,10 @@ def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
     last line without a newline comes alone at EOF.  A line longer than
     ``_MAX_LINE`` bytes comes as one None as soon as a read takes it past
     the cap, and its bytes are skipped through its newline, so memory
-    stays bounded without newlines.
+    stays bounded without newlines.  A UTF-8 byte order mark that starts
+    the stream is dropped, also when its bytes come in several reads.
     """
+    bom = "\ufeff"  # dropped from the first line only
     tail: bytearray | None = bytearray()  # None while skipping a refused line
     while chunk := read(_READ_SIZE):
         cut = chunk.rfind(b"\n") + 1
@@ -273,6 +266,7 @@ def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
         # a line inside one read is shorter than the cap; only one begun
         # in an earlier read can outgrow it
         if tail is None or len(tail) + end > _MAX_LINE:
+            bom = ""
             if tail is not None:
                 yield None
             tail = bytearray() if cut else None
@@ -284,50 +278,12 @@ def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
             tail += chunk
             continue
         tail += chunk[: cut - 1]
-        text = tail.decode("utf-8", "replace")
+        text = tail.decode("utf-8", "replace").removeprefix(bom)
+        bom = ""
         tail = bytearray(chunk[cut:])
         yield list(map(str.strip, text.split("\n")))
     if tail:
-        yield [tail.decode("utf-8", "replace").strip()]
-
-
-class _StreamHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        owner = self.server.owner  # type: ignore[attr-defined]
-        for lines in _split_reads(self.rfile.read1):
-            if lines is None:
-                # every earlier line was windowed when its read was
-                self._submit(owner, [], _line_too_long())
-                continue
-            batch: list[Event] = []
-            for line in lines:
-                if not line:
-                    continue
-                try:
-                    batch.append(parse_event(line, "jsonl"))
-                except ParseError as exc:
-                    # window the events before a bad line ahead of its reply
-                    self._submit(owner, batch, exc)
-                    batch = []
-            self._submit(owner, batch)
-
-    def _submit(
-        self, owner: "StreamServer", batch: list[Event], error: ParseError | None = None
-    ) -> None:
-        """Window ``batch``, answer its out-of-order events, then ``error``."""
-        if batch or error:
-            rejected = owner._deliver(batch, parse_error=error is not None)
-            if owner.strict_order:
-                for _ in range(rejected):
-                    self._reply("ERR out_of_order: timestamp went backwards")
-            if error:
-                self._reply(f"ERR {error.code}: {error}")
-
-    def _reply(self, message: str) -> None:
-        try:
-            self.wfile.write((message + "\n").encode("utf-8"))
-        except OSError:
-            pass  # client already gone; keep serving others
+        yield [tail.decode("utf-8", "replace").removeprefix(bom).strip()]
 
 
 class StopServing(Exception):
@@ -383,6 +339,8 @@ class StreamServer:
         self._lock = threading.Lock()
         self._last_ts: int | None = None
         self._closed = False
+        from .tcp import _StreamHandler, _TcpServer  # only listen loads socketserver
+
         self._server = _TcpServer((host, port), _StreamHandler)
         self._server.owner = self
         self._serve_thread = threading.Thread(

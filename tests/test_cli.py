@@ -1292,10 +1292,39 @@ def run_python(code):
     return proc.stdout
 
 
-def test_cli_import_leaves_bench_unloaded():
-    """analyze and listen start without paying for the bench module's import."""
-    out = run_python("import sys\nimport coverwin.cli\nprint('coverwin.bench' in sys.modules)")
-    assert out.strip() == "False"
+def test_cli_import_leaves_command_only_modules_unloaded():
+    """analyze starts without importing what only other commands run: bench,
+    driftgen, the TCP handler with socketserver, and signal."""
+    out = run_python(
+        "import sys\n"
+        "import coverwin.cli\n"
+        "only = ['coverwin.bench', 'coverwin.driftgen', 'coverwin.tcp', 'socketserver', 'signal']\n"
+        "print([name for name in only if name in sys.modules])\n"
+    )
+    assert out.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    out = run_python(
+        "import sys\n"
+        "import coverwin\n"
+        "print(sorted(name for name in sys.modules if name.startswith('coverwin.')))\n"
+    )
+    assert out.strip() == "[]"
+
+
+def test_star_import_binds_each_name_to_its_home_module():
+    namespace = {}
+    exec("from coverwin import *", namespace)
+    for name in coverwin.__all__:
+        value = namespace[name]
+        if name == "__version__":
+            assert value == coverwin.__version__
+            continue
+        assert value.__module__.startswith("coverwin."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        coverwin.no_such_name
 
 
 def test_coverwin_imports_only_the_standard_library():

@@ -12,9 +12,9 @@ from coverwin.driftgen import (
     GRADUAL,
     INCREMENTAL,
     RECURRING,
-    SCENARIO_NAMES,
     SUDDEN,
     Lcg,
+    _SCENARIOS,
     builtin_scenario,
     case_name,
     case_number,
@@ -59,6 +59,16 @@ def test_choose_weighted_covers_all_indices():
     rng = Lcg(3)
     picks = {rng.choose_weighted((1.0, 1.0, 1.0)) for _ in range(200)}
     assert picks == {0, 1, 2}
+
+
+def test_choose_weighted_takes_the_last_index_when_rounding_overshoots(monkeypatch):
+    """A draw at or past the last running sum picks the last index.  From
+    ``next_float`` below 1 it can come only when ``sum`` rounds the total
+    above the running sum, as the compensated float ``sum`` of Python 3.12
+    may; the stub lands the draw on the total."""
+    rng = Lcg(1)
+    monkeypatch.setattr(rng, "next_float", lambda: 1.0)
+    assert rng.choose_weighted((0.5, 0.25, 0.25)) == 2
 
 
 # --- pools and specs -----------------------------------------------------------
@@ -271,8 +281,14 @@ def test_spec_from_json_reads_a_gradual_ramp(tmp_path):
     assert annotations.drift_case_indices == (5, 15)
 
 
+def test_scenario_choices_are_the_builtin_table_in_order():
+    """``--scenario`` lists every built-in scenario, in the table's order,
+    without importing driftgen to build the parsers."""
+    assert cli.SCENARIO_NAMES == tuple(_SCENARIOS)
+
+
 def test_builtin_scenarios_generate():
-    for name in SCENARIO_NAMES:
+    for name in cli.SCENARIO_NAMES:
         spec = builtin_scenario(name)
         if name == "throughput":
             continue  # large; covered by the acceptance suite

@@ -20,7 +20,6 @@ import threading
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _quote
-from json.scanner import make_scanner
 from math import isfinite
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,8 +42,6 @@ _COMPACT_EVENT = re.compile(
     r'\{"case":"([^"\\\x00-\x1f]*)","activity":"([^"\\\x00-\x1f]*)",'
     r'"timestamp":(-?(?:0|[1-9][0-9]{0,17}))\}\n?'
 ).fullmatch
-# the C scanner behind json.loads, called directly on lines it reads whole
-_scan_json = make_scanner(json.JSONDecoder())
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -63,10 +60,6 @@ class OrderingError(ValueError):
 
 
 def _parse_timestamp(value: object, line_no: int | None) -> int:
-    if isinstance(value, bool):
-        raise ParseError("bad_timestamp", f"bad timestamp: {value!r}", line_no)
-    if isinstance(value, int):
-        return value
     if isinstance(value, float):
         if value.is_integer():
             return int(value)
@@ -92,25 +85,6 @@ def _parse_timestamp(value: object, line_no: int | None) -> int:
     raise ParseError("bad_timestamp", f"bad timestamp: {value!r}", line_no)
 
 
-def _make_event(
-    case: object, activity: object, timestamp: object, line_no: int | None
-) -> Event:
-    if isinstance(case, int) and not isinstance(case, bool):
-        case = str(case)
-    if not isinstance(case, str) or not case.strip():
-        raise ParseError("missing_field", "case id missing or empty", line_no)
-    if not isinstance(activity, str) or not activity.strip():
-        raise ParseError("missing_field", "activity missing or empty", line_no)
-    activity = activity.strip()
-    if SEPARATOR in activity:
-        raise ParseError(
-            "reserved_separator",
-            f"activity must not contain {SEPARATOR!r}: {activity!r}",
-            line_no,
-        )
-    return Event(case.strip(), activity, _parse_timestamp(timestamp, line_no))
-
-
 def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Event:
     """Parse one input line into an Event.
 
@@ -125,20 +99,11 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
             case, activity, timestamp = match.groups()
             timestamp = int(timestamp)
         else:
+            # an over-long integer raises ValueError, too deep nesting RecursionError
             try:
-                obj, end = _scan_json(line, 0)
-                if end != len(line) and line[end:] != "\n":
-                    raise ValueError("more than a newline after the value")
-            except (StopIteration, ValueError, RecursionError):
-                # surrounding whitespace, a BOM, trailing data or a failed scan:
-                # json.loads decides, and words every error; an over-long
-                # integer raises ValueError and too deep nesting RecursionError
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ParseError(
-                        "bad_json", f"invalid JSON: {exc}", line_no
-                    ) from None
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
             if not isinstance(obj, dict):
                 raise ParseError("bad_json", "event line must be a JSON object", line_no)
             try:
@@ -148,19 +113,33 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
                 raise ParseError(
                     "missing_field", "need keys case, activity, timestamp", line_no
                 ) from None
-        if type(case) is str and type(activity) is str and type(timestamp) is int:
-            case_id, name = case.strip(), activity.strip()
-            if case_id and name and SEPARATOR not in name:
-                return Event(case_id, name, timestamp)
-        return _make_event(case, activity, timestamp, line_no)
-    if fmt == "csv":
+    elif fmt == "csv":
         row = next(csv.reader([line]))
         if len(row) != len(CSV_HEADER):
             raise ParseError(
                 "bad_csv", f"expected {len(CSV_HEADER)} columns, got {len(row)}", line_no
             )
-        return _make_event(row[0], row[1], row[2], line_no)
-    raise ValueError(f"unknown format: {fmt!r}")
+        case, activity, timestamp = row
+    else:
+        raise ValueError(f"unknown format: {fmt!r}")
+    # JSON's types are exact, a bool is no int, and any other type counts as missing
+    if type(case) is not str:
+        case = str(case) if type(case) is int else ""
+    case = case.strip()
+    activity = activity.strip() if type(activity) is str else ""
+    if not case:
+        raise ParseError("missing_field", "case id missing or empty", line_no)
+    if not activity:
+        raise ParseError("missing_field", "activity missing or empty", line_no)
+    if SEPARATOR in activity:
+        raise ParseError(
+            "reserved_separator",
+            f"activity must not contain {SEPARATOR!r}: {activity!r}",
+            line_no,
+        )
+    if type(timestamp) is not int:
+        timestamp = _parse_timestamp(timestamp, line_no)
+    return Event(case, activity, timestamp)
 
 
 @dataclass(frozen=True)

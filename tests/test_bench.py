@@ -178,6 +178,13 @@ def test_summarize_accuracy_scores_each_run():
         assert 0.0 <= s.mean_f1 <= 1.0
 
 
+def test_summarize_accuracy_needs_a_window():
+    spec = builtin_scenario("sudden")
+    _, ann = generate(spec)
+    with pytest.raises(ValueError, match="no windows to score"):
+        summarize_accuracy("none", [], ann.pool_per_case, spec.pools)
+
+
 # --- speed ------------------------------------------------------------------
 
 

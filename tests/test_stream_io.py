@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,7 +39,7 @@ from coverwin.stream_io import (
     _MAX_LINE,
     _READ_SIZE,
     ServerStats,
-    _make_event,
+    _parse_timestamp,
     _split_reads,
     event_to_json_line,
     window_record_to_json,
@@ -47,6 +48,7 @@ from coverwin.stream_io import (
     write_metrics_csv,
 )
 from coverwin.tcp import _StreamHandler
+from coverwin.views import SEPARATOR
 from coverwin.window import WindowRecord
 
 from conftest import dumps_window_record, make_events, parse_window_record
@@ -75,24 +77,74 @@ def test_parse_csv_quoted_comma():
     assert ev.activity == "check, recheck"
 
 
+PARSE_ERRORS = [
+    ("not json", "bad_json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1,2]", "bad_json", "event line must be a JSON object"),
+    (
+        '{"activity": "a", "timestamp": 1}',
+        "missing_field",
+        "need keys case, activity, timestamp",
+    ),
+    (
+        '{"case": "", "activity": "a", "timestamp": 1}',
+        "missing_field",
+        "case id missing or empty",
+    ),
+    (
+        '{"case": "c", "activity": " ", "timestamp": 1}',
+        "missing_field",
+        "activity missing or empty",
+    ),
+    (
+        '{"case": "c", "activity": "a|b", "timestamp": 1}',
+        "reserved_separator",
+        "activity must not contain '|': 'a|b'",
+    ),
+    (
+        '{"case": "c", "activity": "a", "timestamp": true}',
+        "bad_timestamp",
+        "bad timestamp: True",
+    ),
+    (
+        '{"case": "c", "activity": "a", "timestamp": 1.5}',
+        "bad_timestamp",
+        "timestamp not whole ms: 1.5",
+    ),
+    (
+        '{"case": "c", "activity": "a", "timestamp": "soon"}',
+        "bad_timestamp",
+        "bad timestamp: 'soon'",
+    ),
+    # JSON values of a type no timestamp form has
+    (
+        '{"case": "c", "activity": "a", "timestamp": null}',
+        "bad_timestamp",
+        "bad timestamp: None",
+    ),
+    (
+        '{"case": "c", "activity": "a", "timestamp": []}',
+        "bad_timestamp",
+        "bad timestamp: []",
+    ),
+    (
+        '{"case": "c", "activity": "a", "timestamp": {}}',
+        "bad_timestamp",
+        "bad timestamp: {}",
+    ),
+]
+
+
+# each row is named by its line and its code
 @pytest.mark.parametrize(
-    "line,code",
-    [
-        ("not json", "bad_json"),
-        ("[1,2]", "bad_json"),
-        ('{"activity": "a", "timestamp": 1}', "missing_field"),
-        ('{"case": "", "activity": "a", "timestamp": 1}', "missing_field"),
-        ('{"case": "c", "activity": " ", "timestamp": 1}', "missing_field"),
-        ('{"case": "c", "activity": "a|b", "timestamp": 1}', "reserved_separator"),
-        ('{"case": "c", "activity": "a", "timestamp": true}', "bad_timestamp"),
-        ('{"case": "c", "activity": "a", "timestamp": 1.5}', "bad_timestamp"),
-        ('{"case": "c", "activity": "a", "timestamp": "soon"}', "bad_timestamp"),
-    ],
+    "line,code,message",
+    PARSE_ERRORS,
+    ids=[f"{line}-{code}" for line, code, _ in PARSE_ERRORS],
 )
-def test_parse_jsonl_errors(line, code):
+def test_parse_jsonl_errors(line, code, message):
     with pytest.raises(ParseError) as err:
         parse_event(line)
     assert err.value.code == code
+    assert str(err.value) == message
 
 
 def test_parse_csv_wrong_column_count():
@@ -134,9 +186,33 @@ def test_timestamp_forms(value, expected):
     assert parse_event(line).timestamp == expected
 
 
+def reference_event(case, activity, timestamp, line_no):
+    """The event parse_event must build from three decoded fields, by its
+    rules written out apart from its own validator: the case, then the
+    activity, then the separator, then the timestamp."""
+    if isinstance(case, int) and not isinstance(case, bool):
+        case = str(case)
+    if not isinstance(case, str) or not case.strip():
+        raise ParseError("missing_field", "case id missing or empty", line_no)
+    if not isinstance(activity, str) or not activity.strip():
+        raise ParseError("missing_field", "activity missing or empty", line_no)
+    activity = activity.strip()
+    if SEPARATOR in activity:
+        raise ParseError(
+            "reserved_separator",
+            f"activity must not contain {SEPARATOR!r}: {activity!r}",
+            line_no,
+        )
+    if isinstance(timestamp, (float, str)):
+        timestamp = _parse_timestamp(timestamp, line_no)
+    elif isinstance(timestamp, bool) or not isinstance(timestamp, int):
+        raise ParseError("bad_timestamp", f"bad timestamp: {timestamp!r}", line_no)
+    return Event(case.strip(), activity, timestamp)
+
+
 def reference_parse_jsonl(line, line_no=None):
     """parse_event(line, "jsonl") as json.loads alone gives it, without
-    the compact-line match and the scanner stage ahead of it."""
+    the compact-line match ahead of it."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -145,7 +221,15 @@ def reference_parse_jsonl(line, line_no=None):
         raise ParseError("bad_json", "event line must be a JSON object", line_no)
     if not {"case", "activity", "timestamp"} <= obj.keys():
         raise ParseError("missing_field", "need keys case, activity, timestamp", line_no)
-    return _make_event(obj["case"], obj["activity"], obj["timestamp"], line_no)
+    return reference_event(obj["case"], obj["activity"], obj["timestamp"], line_no)
+
+
+def reference_parse_csv(line, line_no=None):
+    """parse_event(line, "csv") as csv.reader and reference_event give it."""
+    row = next(csv.reader([line]))
+    if len(row) != 3:
+        raise ParseError("bad_csv", f"expected 3 columns, got {len(row)}", line_no)
+    return reference_event(*row, line_no)
 
 
 def compact_line(case, activity, timestamp):
@@ -284,11 +368,45 @@ def test_parse_jsonl_fast_path_matches_json_loads(line, line_no):
         pytest.param(compact_line("7" * 4300, '"a"', "1"), id="case-4300-digits"),
         pytest.param(compact_line("7" * 5000, '"a"', "1"), id="case-5000-digits"),
         pytest.param("[" * 5000, id="deep-nesting"),
+        # the order of the checks: case, activity, separator, timestamp
+        pytest.param(compact_line('""', '"a|b"', "1"), id="order-case-first"),
+        pytest.param(compact_line("7", '" "', "1"), id="order-int-case-then-activity"),
+        pytest.param(compact_line("true", '"a|b"', "1"), id="order-bool-case"),
+        pytest.param(compact_line('"c"', '"a|b"', "true"), id="order-separator-first"),
     ],
 )
 def test_parse_jsonl_edge_lines_match_json_loads(line):
     assert parse_outcome(parse_event, line, None) == parse_outcome(
         reference_parse_jsonl, line, None
+    )
+
+
+def csv_line(fields):
+    """The row ``csv.writer`` writes for ``fields``, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue().removesuffix("\r\n")
+
+
+csv_fields = st.one_of(
+    st.sampled_from(["", " ", "c", " c ", "|", "a|b", " a|b ", '"', 'a"b', ","]),
+    st.sampled_from(["a,b", " 42 ", "1.5", "soon", "2014-10-22T11:15:41Z"]),
+    st.integers(-(2**70), 2**70),
+    st.text(alphabet=st.sampled_from(' \t"|,ab7:-TZ\u00e4'), max_size=8),
+)
+csv_rows = st.one_of(
+    st.lists(csv_fields, min_size=3, max_size=3), st.lists(csv_fields, max_size=5)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fields=csv_rows, line_no=st.one_of(st.none(), st.integers(1, 10**6)))
+def test_parse_csv_matches_csv_reader(fields, line_no):
+    """A CSV row gives the event or the error that csv.reader and the
+    reference rules give it."""
+    line = csv_line(fields)
+    assert parse_outcome(partial(parse_event, fmt="csv"), line, line_no) == parse_outcome(
+        reference_parse_csv, line, line_no
     )
 
 

@@ -41,6 +41,7 @@ from coverwin.window import (
     SF_DECAY,
     SF_FLOOR,
     SF_GROWTH,
+    Windower,
     _next_threshold,
 )
 
@@ -394,6 +395,19 @@ def test_flush_emits_partial_window():
 
 def test_flush_on_empty_buffer_returns_none():
     win = AdaptiveWindow(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
+    assert win.flush() is None
+
+
+def test_bare_windower_closes_only_at_flush():
+    """The base class's hooks start and complete no window: every event
+    stays in one window, which only ``flush`` forces out."""
+    win = Windower(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
+    events = make_events("ABCABC")
+    assert [win.process_event(ev) for ev in events] == [None] * len(events)
+    rec = win.flush()
+    assert rec.force_closed
+    assert rec.events == tuple(events)
+    assert (rec.index, rec.threshold) == (0, 0.0)
     assert win.flush() is None
 
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import threading
 from dataclasses import asdict, astuple, fields, replace
-from math import isfinite
 from typing import Iterable, Sequence, TextIO
 
 from .abundance import AbundanceStats, estimates
@@ -246,12 +244,8 @@ def _sizes_line(r: WindowRecord) -> str:
 
 def _summary_line(r: WindowRecord) -> str:
     """The ``--verbose`` line of a window: ``json.dumps``'s bytes for its
-    summary, the floats rounded to 6 places, and a newline."""
+    summary, the (finite) floats rounded to 6 places, and a newline."""
     c, t = round(r.coverage, 6), round(r.threshold, 6)
-    if not isfinite(c + t):
-        # json spells nan and inf NaN and Infinity; an overflowing sum of
-        # finite values only takes this path too, which gives the same text
-        c, t = json.dumps(c), json.dumps(t)
     forced = "true" if r.force_closed else "false"
     return (
         f'{{"index": {r.index}, "size": {r.size}, "coverage": {c}, '
@@ -428,6 +422,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     # a missing or unreadable input fails here, before the outputs are truncated
     open(source.path, "rb").close()
+    for out in (args.windows_out, args.sizes_csv):
+        if out and os.path.exists(out) and os.path.samefile(out, source.path):
+            raise ValueError(f"output {out} is the input file")
     try:
         writer.open_outputs(args)
         replay_stats = replay(source, sink if args.verbose else writer.process)
@@ -447,7 +444,7 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
         return 2
     try:
         spec, events, annotations = _generate(args)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"driftgen: bad spec: {exc}", file=sys.stderr)
         return 2
     if _source_kind(args.out, args.out_format) == FILE_CSV:

@@ -17,10 +17,9 @@ import csv
 import json
 import re
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from json.encoder import encode_basestring_ascii as _quote
-from math import isfinite
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .views import SEPARATOR, Event
@@ -42,7 +41,6 @@ _COMPACT_EVENT = re.compile(
     r'\{"case":"([^"\\\x00-\x1f]*)","activity":"([^"\\\x00-\x1f]*)",'
     r'"timestamp":(-?(?:0|[1-9][0-9]{0,17}))\}\n?'
 ).fullmatch
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class ParseError(ValueError):
@@ -114,7 +112,10 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
                     "missing_field", "need keys case, activity, timestamp", line_no
                 ) from None
     elif fmt == "csv":
-        row = next(csv.reader([line]))
+        try:
+            row = next(csv.reader([line]))
+        except csv.Error as exc:  # a lone \r, or a field over csv.field_size_limit()
+            raise ParseError("bad_csv", str(exc), line_no) from None
         if len(row) != len(CSV_HEADER):
             raise ParseError(
                 "bad_csv", f"expected {len(CSV_HEADER)} columns, got {len(row)}", line_no
@@ -187,7 +188,10 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
                     continue
                 if not header_seen:
                     header_seen = True
-                    cells = [c.strip() for c in next(csv.reader([line]))]
+                    try:
+                        cells = [c.strip() for c in next(csv.reader([line]))]
+                    except csv.Error as exc:
+                        raise ParseError("bad_csv", str(exc), line_no) from None
                     if [c.lower() for c in cells] == list(CSV_HEADER):
                         continue
                     raise ParseError(
@@ -401,9 +405,10 @@ class StreamServer:
 
 
 def event_to_json_line(event: Event) -> str:
-    return json.dumps(
-        {"case": event.case_id, "activity": event.activity, "timestamp": event.timestamp},
-        separators=(",", ":"),
+    """One event as compact JSON: ``json.dumps``'s text with ``(",", ":")``."""
+    return (
+        f'{{"case":{_quote(event.case_id)},"activity":{_quote(event.activity)},'
+        f'"timestamp":{event.timestamp!r}}}'
     )
 
 
@@ -422,32 +427,18 @@ def write_events_csv(events: Iterable[Event], path: str) -> None:
 def window_record_to_json(record: WindowRecord) -> str:
     """One window record as a single JSON line with a stable key order.
 
-    Same text as ``json.dumps(..., separators=(",", ":"))``; a non-finite
-    float sends the scalar keys through json's encoder (``NaN``, ``Infinity``).
+    Same text as ``json.dumps(..., separators=(",", ":"))``: a record's
+    floats are finite (see ``WindowRecord``), so each prints as its repr.
     """
     r = record
-    events = ",".join(
-        [
-            f'{{"case":{_quote(e.case_id)},"activity":{_quote(e.activity)},'
-            f'"timestamp":{e.timestamp!r}}}'
-            for e in r.events
-        ]
+    events = ",".join(map(event_to_json_line, r.events))
+    return (
+        f'{{"index":{r.index!r},"size":{r.size!r},"first_ts":{r.first_ts!r},'
+        f'"last_ts":{r.last_ts!r},"coverage":{r.coverage!r},'
+        f'"completeness":{r.completeness!r},"chao1":{r.chao1!r},'
+        f'"threshold":{r.threshold!r},'
+        f'"force_closed":{"true" if r.force_closed else "false"},"events":[{events}]}}'
     )
-    # any inf or nan makes the sum non-finite; an overflowing sum only
-    # takes the encoder path, which gives the same text
-    if isfinite(r.coverage + r.completeness + r.chao1 + r.threshold):
-        head = (
-            f'{{"index":{r.index!r},"size":{r.size!r},"first_ts":{r.first_ts!r},'
-            f'"last_ts":{r.last_ts!r},"coverage":{r.coverage!r},'
-            f'"completeness":{r.completeness!r},"chao1":{r.chao1!r},'
-            f'"threshold":{r.threshold!r},'
-            f'"force_closed":{"true" if r.force_closed else "false"}'
-        )
-    else:
-        # the record's fields minus events, in the key order above
-        scalars = {f.name: getattr(r, f.name) for f in fields(r) if f.name != "events"}
-        head = _encode_json(scalars)[:-1]
-    return f'{head},"events":[{events}]}}'
 
 
 def write_metrics_csv(

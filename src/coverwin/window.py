@@ -96,6 +96,11 @@ class WindowRecord:
     regular closes ``coverage >= threshold`` holds.  ``force_closed``
     marks windows emitted by an end-of-stream flush.
 
+    Every float of a ``Windower``'s record is finite: coverage is clamped
+    to [0, 1]; ``estimates`` gives zeros, or chao1 >= s_n >= 1 and
+    completeness in (0, 1]; ``_next_threshold`` keeps ct in [mt, 0.99], and
+    ``ThresholdState`` refuses a non-finite mt; baselines carry 0.0.
+
     The hand-written ``__init__`` fills ``__dict__`` in one update; no
     slots, so a record stays weakly referenceable on Python 3.10.
     """

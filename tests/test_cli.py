@@ -76,7 +76,8 @@ def sizes_cells(r):
     return (r.index, r.size, r.first_ts, r.last_ts, cov, thr)
 
 
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e21]
+FINITE_EDGE_FLOATS = [-0.0, 1e-300, 1e21]
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, *FINITE_EDGE_FLOATS]
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,17 +102,15 @@ def test_sizes_line_is_csv_writers_row(index, size, first_ts, last_ts, cov, thr)
 BIG_FLOATS = [1.7976931348623157e308, -1e300, 5e-324, 1e-7, -4.5e-7]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(),
-    st.integers(),
-    st.floats() | st.sampled_from(EDGE_FLOATS + BIG_FLOATS),
-    st.floats() | st.sampled_from(EDGE_FLOATS + BIG_FLOATS),
-    st.booleans(),
+# a window record's floats are finite (see WindowRecord)
+summary_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    FINITE_EDGE_FLOATS + BIG_FLOATS
 )
-@example(2**64, 2**63 + 1, -0.0, math.nan, True)
-@example(0, 1, math.inf, -math.inf, False)
-# finite values whose sum overflows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(), summary_floats, summary_floats, st.booleans())
+# the largest finite float for both
 @example(7, 3, 1.7976931348623157e308, 1.7976931348623157e308, False)
 @example(12, 5, 5e-324, 1e21, True)
 def test_summary_line_is_json_dumps_of_the_summary(index, size, cov, thr, forced):
@@ -338,6 +337,46 @@ def test_analyze_answers_an_undecodable_line_as_an_input_error(tmp_path, capsys,
     assert err.endswith(" (line 2)\n") and err.count("\n") == 1, err
 
 
+# CSV input csv.reader refuses, in a data row or in the header: text, line
+UNREADABLE_CSV = {
+    "cr-in-row": ("case_id,activity,timestamp\nc1,a\rb,1\n", 2),
+    "cr-in-header": ("case_id,activ\rity,timestamp\nc1,ab,1\n", 1),
+    "long-field": (
+        "case_id,activity,timestamp\nc1," + "a" * (csv.field_size_limit() + 1) + ",1\n",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["estimate"], ["bench", "throughput", "--runs", "1"]]
+)
+@pytest.mark.parametrize(
+    ("text", "line_no"), UNREADABLE_CSV.values(), ids=UNREADABLE_CSV
+)
+def test_unreadable_csv_is_an_input_error(tmp_path, capsys, command, text, line_no):
+    path = tmp_path / "ev.csv"
+    path.write_bytes(text.encode())
+    assert main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("coverwin: input error: "), err
+    assert err.endswith(f" (line {line_no})\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--windows-out", "--sizes-csv"])
+def test_analyze_refuses_an_output_that_is_its_input(tmp_path, capsys, flag):
+    path = tmp_path / "ev.jsonl"
+    shutil.copy(WORKED, path)
+    before = path.read_bytes()
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(path)
+    for out in (path, link):
+        assert main(["analyze", str(path), flag, str(out)]) == 1
+        expected = f"coverwin: output {out} is the input file\n"
+        assert capsys.readouterr() == ("", expected)
+        assert path.read_bytes() == before
+
+
 def test_analyze_lenient_drops_and_reports(tmp_path, capsys):
     path = tmp_path / "ev.jsonl"
     lines = [
@@ -402,6 +441,16 @@ def test_driftgen_bad_spec_file(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["driftgen", "--spec", missing, "--out", out]) == 2
     assert "bad spec" in capsys.readouterr().err
+
+
+def test_driftgen_deeply_nested_spec_is_a_bad_spec(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text("[" * 200_000, encoding="utf-8")
+    out = tmp_path / "ev.jsonl"
+    assert main(["driftgen", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftgen: bad spec: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_driftgen_custom_spec(tmp_path, capsys):

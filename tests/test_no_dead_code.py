@@ -11,7 +11,8 @@ A member whose name is also a data attribute of another class there (a
 dataclass field or a ``self.x =`` assignment) counts as used only through
 ``self`` inside its own class, since ``obj.x`` elsewhere may read that
 attribute.  Tests do not count as a use: code kept only for its tests is
-listed below with the reason it stays.
+listed below with the reason it stays.  Every name a module imports, at any
+depth and ``from __future__`` aside, must be loaded in that module.
 """
 
 from __future__ import annotations
@@ -195,9 +196,35 @@ def unused_members() -> set[str]:
     return unused
 
 
+def unused_imports() -> set[str]:
+    """``module.name`` for each name a module in ``src/`` imports and never loads."""
+    unused = set()
+    for path in SRC:
+        tree = _parse(path)
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        unused.add(f"{module_of(path)}.{name}")
+    return unused
+
+
 def test_every_module_level_name_has_a_caller():
     assert unused_names() == set(ALLOWED)
 
 
 def test_every_class_member_has_a_caller():
     assert unused_members() == set(ALLOWED_MEMBERS)
+
+
+def test_every_import_is_loaded():
+    assert unused_imports() == set()

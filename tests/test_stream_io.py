@@ -6,7 +6,6 @@ import csv
 import importlib
 import io
 import json
-import math
 import socket
 import sys
 import threading
@@ -226,7 +225,10 @@ def reference_parse_jsonl(line, line_no=None):
 
 def reference_parse_csv(line, line_no=None):
     """parse_event(line, "csv") as csv.reader and reference_event give it."""
-    row = next(csv.reader([line]))
+    try:
+        row = next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ParseError("bad_csv", str(exc), line_no) from None
     if len(row) != 3:
         raise ParseError("bad_csv", f"expected 3 columns, got {len(row)}", line_no)
     return reference_event(*row, line_no)
@@ -410,6 +412,30 @@ def test_parse_csv_matches_csv_reader(fields, line_no):
     )
 
 
+# lines csv.writer never writes: a lone \r outside quotes and a field over
+# csv.field_size_limit() make csv.reader raise; NUL did before Python 3.11
+RAW_CSV_LINES = [
+    "c1,a\rb,1",
+    "c1,pay\r,1",
+    "c1,a\nb,1",
+    "\r",
+    'c1,"a\rb",1',
+    "c1,a\x00b,1",
+    'c1,"pay,1',
+    "c1," + "a" * (csv.field_size_limit() + 1) + ",1",
+    'c1,"' + "a" * (csv.field_size_limit() + 1) + '",1',
+]
+
+
+@pytest.mark.parametrize("line", RAW_CSV_LINES, ids=range(len(RAW_CSV_LINES)))
+def test_parse_csv_raw_lines_match_the_reference(line):
+    """A line csv.reader refuses is a ``bad_csv`` ParseError, like any other
+    bad row, never csv's own exception."""
+    got = parse_outcome(partial(parse_event, fmt="csv"), line, 7)
+    assert got == parse_outcome(reference_parse_csv, line, 7)
+    assert isinstance(got, Event) or got[0] is ParseError
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -585,9 +611,10 @@ awkward_text = st.text(
     max_size=12,
 )
 big_ints = st.integers(-(2**70), 2**70)
+# a window record's floats are finite (see WindowRecord)
 record_floats = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308]),
 )
 window_records = st.builds(
     WindowRecord,
@@ -611,13 +638,10 @@ window_records = st.builds(
 def test_window_record_to_json_is_the_json_dumps_text(record):
     line = window_record_to_json(record)
     assert line == dumps_window_record(record)
-    floats = (record.coverage, record.completeness, record.chao1, record.threshold)
     # json reads an escaped high + low surrogate back as one character,
     # so text holding surrogates is not expected to come back as it was
     text = "".join(e.case_id + e.activity for e in record.events)
-    if all(map(math.isfinite, floats)) and not any(
-        "\ud800" <= ch <= "\udfff" for ch in text
-    ):
+    if not any("\ud800" <= ch <= "\udfff" for ch in text):
         assert parse_window_record(line) == record
 
 

@@ -577,3 +577,74 @@ def test_random_streams_partition_losslessly(seed, strategy, kind):
     assert [r.index for r in records] == list(range(len(records)))
     if strategy != "adaptive":
         assert all(r.threshold == 0.0 for r in records)
+
+
+@st.composite
+def extreme_threshold_states(draw):
+    """Every valid ``ThresholdState``, its knobs at and past the edges:
+    ``mt`` down to the smallest float, ``dr`` and ``delta`` up to infinity."""
+    mt = draw(st.sampled_from([5e-324, CT_CEILING]) | st.floats(5e-324, CT_CEILING))
+    positive = st.sampled_from([5e-324, 1e308, math.inf]) | st.floats(
+        min_value=0.0, exclude_min=True
+    )
+    return ThresholdState(
+        ct=draw(st.sampled_from([mt, CT_CEILING]) | st.floats(mt, CT_CEILING)),
+        sf=draw(
+            st.sampled_from([SF_FLOOR, SF_CEILING]) | st.floats(SF_FLOOR, SF_CEILING)
+        ),
+        dr=draw(positive),
+        mt=mt,
+        delta=draw(positive),
+        w=draw(st.integers(2, 6)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state=extreme_threshold_states(),
+    min_size=st.integers(1, 8),
+    kind=st.sampled_from([ACTIVITY_NGRAM, DIRECTLY_FOLLOWS, TRACE_VARIANT]),
+    ngram_order=st.integers(1, 3),
+    case_timeout=st.sampled_from([1, 100, 10**7]),
+    # (case, activity, ms since the previous event)
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 5),
+            st.sampled_from([0, 1, 10**7]) | st.integers(0, 10**7),
+        ),
+        max_size=60,
+    ),
+)
+def test_every_record_float_is_finite_and_in_range(
+    state, min_size, kind, ngram_order, case_timeout, steps
+):
+    """What ``WindowRecord`` promises, for every strategy over one stream:
+    each float is finite, coverage and completeness are in [0, 1], the
+    adaptive threshold is in [mt, 0.99], baselines carry 0.0, and the
+    windows hold every event."""
+    events = []
+    ts = 0
+    for case, activity, gap in steps:
+        ts += gap
+        events.append(Event(f"c{case}", f"a{activity}", ts))
+    config = ViewConfig(kind, ngram_order, case_timeout)
+    rules = [
+        BaselineConfig(COUNT_TUMBLING, count=min_size),
+        BaselineConfig(TIME_TUMBLING, duration=case_timeout),
+        BaselineConfig(LANDMARK, landmark_activity="a0"),
+    ]
+    windows = [AdaptiveWindow(SpeciesView(config), state, min_size)]
+    windows += [BaselineWindow(SpeciesView(config), rule) for rule in rules]
+    for win in windows:
+        records = [win.process_event(ev) for ev in events] + [win.flush()]
+        records = [r for r in records if r is not None]
+        assert sum(r.size for r in records) == len(events)
+        for r in records:
+            floats = (r.coverage, r.completeness, r.chao1, r.threshold)
+            assert all(map(math.isfinite, floats)), r
+            assert 0.0 <= r.coverage <= 1.0 and 0.0 <= r.completeness <= 1.0, r
+            if isinstance(win, AdaptiveWindow):
+                assert state.mt <= r.threshold <= CT_CEILING, r
+            else:
+                assert r.threshold == 0.0, r

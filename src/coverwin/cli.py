@@ -253,6 +253,18 @@ def _summary_line(r: WindowRecord) -> str:
     )
 
 
+def _one_file_each(*named: tuple[str, str | None]) -> None:
+    """Refuse a path of ``named``, (what, path) pairs with the outputs last, that
+    is an earlier one's file: equal real paths, or ``samefile`` if both exist."""
+    given = [(what, path) for what, path in named if path]
+    for i, (_, path) in enumerate(given):
+        for what, other in given[:i]:
+            same = os.path.realpath(path) == os.path.realpath(other)
+            both = os.path.exists(path) and os.path.exists(other)
+            if same or both and os.path.samefile(path, other):
+                raise ValueError(f"output {path} is the {what} file")
+
+
 def _open_sizes_csv(path: str) -> TextIO:
     """A sizes CSV opened for writing, its header already written."""
     fp = open(path, "w", encoding="utf-8", newline="")
@@ -263,14 +275,14 @@ def _open_sizes_csv(path: str) -> TextIO:
 class _RecordWriter:
     """Windows events with ``strategy`` and streams closed windows to the outputs.
 
-    Keeps running aggregates for the run summary instead of the records,
-    so memory does not grow with the stream.  With ``verbose``, each window's
-    stderr line waits until ``publish`` writes the pending lines in one call,
-    which the caller makes after each event or read.  No output file is touched
-    before ``open_outputs``, so a run that cannot start leaves them as they were.
-    An output error propagates, unless ``stop`` is given: then the first one
-    is kept in ``failure`` and sets ``stop``, and a write error raises
-    ``StopServing``, which ends a server's ingest.
+    The outputs are ``--windows-out``, ``--sizes-csv`` and, with ``verbose``,
+    the window lines on stderr, kept in ``pending`` until ``publish`` writes
+    them with one call, which the caller makes after each event or read.
+    Running aggregates for the summary stand in for the records, so memory
+    does not grow with the stream.  No file is touched before ``open_outputs``.
+    The first write to fail, to any output, is kept in ``failure`` and sets
+    ``stop`` if given; the other outputs still get that window, and the next
+    ``process`` raises ``StopServing`` before it windows anything.
     """
 
     def __init__(
@@ -281,21 +293,23 @@ class _RecordWriter:
         self.failure: OSError | None = None
         self._stop = stop
         self.windows = 0
-        self._size_sum = 0
         self._size_min = float("inf")
         self._size_max = 0
         # 0 + c0 + c1 + ..., the order and start value of sum()
         self._coverage_sum = 0
         self._forced = 0
-        self._pending: list[str] = []
+        self.pending: list[str] = []
         self._windows_fp: TextIO | None = None
         self._sizes_fp: TextIO | None = None
 
-    def open_outputs(self, args: argparse.Namespace, live: bool = False) -> None:
-        """Truncate the files ``args`` names.  ``live`` line-buffers the
-        windows file, so a reader tailing it sees each record as it closes."""
+    def open_outputs(self, args: argparse.Namespace, source: str | None = None) -> None:
+        """Truncate the files ``args`` names, none the input file ``source`` or
+        the other.  A live stream, with no ``source``, line-buffers the windows
+        file, so a reader tailing it sees each record as it closes."""
+        outputs = ("--windows-out", args.windows_out), ("--sizes-csv", args.sizes_csv)
+        _one_file_each(("input", source), *outputs)
         self._windows_fp = (
-            open(args.windows_out, "w", encoding="utf-8", buffering=1 if live else -1)
+            open(args.windows_out, "w", encoding="utf-8", buffering=-1 if source else 1)
             if args.windows_out
             else None
         )
@@ -303,6 +317,8 @@ class _RecordWriter:
 
     def process(self, event: Event) -> None:
         """The callback for ``replay`` or the server: window, emit what closes."""
+        if self.failure is not None:
+            raise StopServing
         record = self._strategy.process_event(event)
         if record is not None:
             self.emit(record)
@@ -314,17 +330,18 @@ class _RecordWriter:
             self.emit(final)
 
     def emit(self, record: WindowRecord) -> None:
-        try:
-            if self._windows_fp is not None:
+        if self._windows_fp is not None:
+            try:
                 self._windows_fp.write(window_record_to_json(record) + "\n")
-            if self._sizes_fp is not None:
+            except OSError as exc:
+                self._fail(exc)
+        if self._sizes_fp is not None:
+            try:
                 self._sizes_fp.write(_sizes_line(record))
-        except OSError as exc:
-            self._fail(exc)
-            raise StopServing from exc
+            except OSError as exc:
+                self._fail(exc)
         size = record.size
         self.windows += 1
-        self._size_sum += size
         if size < self._size_min:
             self._size_min = size
         if size > self._size_max:
@@ -332,40 +349,40 @@ class _RecordWriter:
         self._coverage_sum += record.coverage
         self._forced += record.force_closed
         if self.verbose:
-            self._pending.append(_summary_line(record))
+            self.pending.append(_summary_line(record))
 
     def publish(self) -> None:
-        """Write the pending window lines to stderr with one call."""
-        if self._pending:
-            text = "".join(self._pending)
-            self._pending.clear()
-            sys.stderr.write(text)
+        """Write the pending lines to stderr with one call."""
+        if self.pending:
+            text = "".join(self.pending)
+            self.pending.clear()
+            try:
+                sys.stderr.write(text)
+            except OSError as exc:
+                self._fail(exc)
 
     def close(self) -> None:
         """Close every output, also after one fails to."""
-        failed = None
         for fp in (self._windows_fp, self._sizes_fp):
             if fp is not None:
                 try:
                     fp.close()
                 except OSError as exc:
-                    failed = failed or exc
-        if failed is not None:
-            self._fail(failed)
+                    self._fail(exc)
 
     def _fail(self, exc: OSError) -> None:
-        if self._stop is None:
-            raise exc
         if self.failure is None:
             self.failure = exc
-            self._stop.set()
+            if self._stop is not None:
+                self._stop.set()
 
     def print_summary(self, delivered: int, dropped: int) -> None:
         n = self.windows
         line = _line(events=delivered, dropped=dropped, windows=n)
         if n:
             line += " " + _line(
-                mean_size=self._size_sum / n,
+                # the windows partition the delivered events
+                mean_size=delivered / n,
                 min_size=self._size_min,
                 max_size=self._size_max,
                 mean_coverage=self._coverage_sum / n,
@@ -422,16 +439,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     # a missing or unreadable input fails here, before the outputs are truncated
     open(source.path, "rb").close()
-    for out in (args.windows_out, args.sizes_csv):
-        if out and os.path.exists(out) and os.path.samefile(out, source.path):
-            raise ValueError(f"output {out} is the input file")
     try:
-        writer.open_outputs(args)
-        replay_stats = replay(source, sink if args.verbose else writer.process)
+        writer.open_outputs(args, source.path)
+        with contextlib.suppress(StopServing):  # an output failed: read no further
+            replay_stats = replay(source, sink if args.verbose else writer.process)
         writer.flush()
         writer.publish()
     finally:
         writer.close()
+    if writer.failure is not None:
+        raise writer.failure
     writer.print_summary(replay_stats.delivered, replay_stats.dropped)
     return 0
 
@@ -439,8 +456,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_driftgen(args: argparse.Namespace) -> int:
     from . import driftgen
 
-    if (args.scenario is None) == (args.spec is None):
-        print("driftgen: give exactly one of --scenario or --spec", file=sys.stderr)
+    annotations_path = args.annotations or args.out + ".annotations.json"
+    try:
+        if (args.scenario is None) == (args.spec is None):
+            raise ValueError("give exactly one of --scenario or --spec")
+        _one_file_each(("--spec", args.spec), ("--out", args.out), ("", annotations_path))
+    except ValueError as exc:
+        print(f"driftgen: {exc}", file=sys.stderr)
         return 2
     try:
         spec, events, annotations = _generate(args)
@@ -451,7 +473,6 @@ def cmd_driftgen(args: argparse.Namespace) -> int:
         write_events_csv(events, args.out)
     else:
         write_events_jsonl(events, args.out)
-    annotations_path = args.annotations or args.out + ".annotations.json"
     driftgen.write_annotations(annotations, annotations_path)
     print(
         _line(events=len(events), cases=spec.total_cases, kind=spec.kind),
@@ -566,22 +587,19 @@ def cmd_listen(
         print(f"listen: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
     try:
-        writer.open_outputs(args, live=True)
+        writer.open_outputs(args)
         server.start()
         host, port = server.address
         print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
         stop_event.wait()
     finally:
         stats = server.stop()
-        try:
-            with contextlib.suppress(StopServing):  # the failure is kept either way
-                writer.flush()
-        finally:
-            writer.close()
-            # the open window's line, and those of a read that StopServing cut short
-            writer.publish()
-    if writer.failure is not None:
-        print(f"listen: output failed: {writer.failure}", file=sys.stderr)
+        writer.flush()
+        writer.close()
+        if writer.failure is not None:  # after the lines of the windows it counts
+            writer.pending.append(f"listen: output failed: {writer.failure}\n")
+        # the open window's line, and those of a read that StopServing cut short
+        writer.publish()
     writer.print_summary(stats.delivered, stats.dropped)
     return 0 if writer.failure is None else 1
 

@@ -270,7 +270,7 @@ def _split_reads(read: Callable[[int], bytes]) -> Iterator[list[str] | None]:
 
 
 class StopServing(Exception):
-    """Raised by a ``StreamServer``'s ``on_event`` to stop windowing for good."""
+    """Raised by a ``StreamServer``'s or ``replay``'s sink to stop windowing for good."""
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -308,6 +309,84 @@ def test_analyze_into_a_full_device_fails_with_one_line(tmp_path, capsys, monkey
     assert len(opened) == 3 and all(fp.closed for fp in opened)
 
 
+class BrokenStderr:
+    """A stand-in for ``sys.stderr`` whose writes fail from the start, or
+    once the line that holds ``last`` has ended; keeps the text it took."""
+
+    def __init__(self, last=None):
+        self.last = last
+        self.text = ""
+
+    @property
+    def broken(self):
+        return self.last is None or "\n" in self.text.partition(self.last)[2]
+
+    def write(self, text):
+        if self.broken:
+            raise OSError(errno.EIO, "Input/output error")
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def windows_cover_a_prefix(sizes, first, last, events):
+    """Windows given as (size, first_ts, last_ts) columns hold, in order and
+    without gap or overlap, the first ``sum(sizes)`` of ``events``."""
+    n = sum(sizes)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    ts = [e.timestamp for e in events[:n]]
+    return first == [ts[s] for s in starts] and last == [
+        ts[s + size - 1] for s, size in zip(starts, sizes)
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("failing", ["--windows-out", "--sizes-csv", "stderr"])
+def test_analyze_flushes_every_other_output_when_one_fails(
+    tmp_path, capsys, monkeypatch, failing
+):
+    """The first failed write, to any output, ends the read: the open window
+    is flushed to the outputs that did not fail, so each of them holds
+    windows that partition a prefix of the input, the last one forced, and
+    the run exits 1 with that failure alone.  Landmark windows keep the
+    event that closed a window in the open one."""
+    events = [Event("c", "A" if i % 3 == 0 else "B", i) for i in range(3000)]
+    path = str(tmp_path / "ev.jsonl")
+    write_events_jsonl(events, path)
+    outputs = {"--windows-out": tmp_path / "w.jsonl", "--sizes-csv": tmp_path / "s.csv"}
+    flags = ["--strategy", "landmark", "--landmark-activity", "A"]
+    if failing == "stderr":
+        monkeypatch.setattr(sys, "stderr", BrokenStderr())
+        flags.append("--verbose")
+    else:
+        outputs[failing] = Path("/dev/full")
+    for flag, out in outputs.items():
+        flags += [flag, str(out)]
+    if failing == "stderr":
+        args = build_parsers()[0].parse_args(["analyze", path, *flags])
+        with pytest.raises(OSError) as failure:  # main could not print it either
+            args.func(args)
+        assert failure.value.errno == errno.EIO
+    else:
+        assert main(["analyze", path, *flags]) == 1
+        assert capsys.readouterr() == ("", f"coverwin: {FULL_DEVICE_ERROR}\n")
+    if failing != "--windows-out":
+        lines = outputs["--windows-out"].read_text(encoding="utf-8").splitlines()
+        records = [parse_window_record(line) for line in lines]
+        held = [e for r in records for e in r.events]
+        assert held == events[: len(held)]
+        assert [r.force_closed for r in records] == [False] * (len(records) - 1) + [True]
+        assert 1 < len(records) < 1000
+    if failing != "--sizes-csv":
+        rows = [list(map(int, row[1:4])) for row in read_csv(outputs["--sizes-csv"])[1:]]
+        sizes, first, last = (list(column) for column in zip(*rows))
+        assert windows_cover_a_prefix(sizes, first, last, events)
+        # a landmark window of this stream holds 3 events unless forced
+        assert sizes == [3] * (len(sizes) - 1) + [1] and 1 < len(sizes) < 1000
+
+
 def test_analyze_rejects_out_of_order(tmp_path, capsys):
     path = tmp_path / "ev.jsonl"
     lines = [
@@ -375,6 +454,61 @@ def test_analyze_refuses_an_output_that_is_its_input(tmp_path, capsys, flag):
         expected = f"coverwin: output {out} is the input file\n"
         assert capsys.readouterr() == ("", expected)
         assert path.read_bytes() == before
+
+
+def one_file_twice(tmp_path, how):
+    """A file, and another path that names it ``how``."""
+    first = tmp_path / "out"
+    if how == "missing":  # not there yet: only the real paths tell
+        return first, os.path.join(tmp_path, ".", "out")
+    first.write_bytes(b"kept\n")
+    second = tmp_path / "second"
+    if how == "same":
+        return first, str(first)
+    if how == "symlink":
+        second.symlink_to(first)
+    else:
+        os.link(first, second)
+    return first, str(second)
+
+
+SHARED_FILE = ["same", "symlink", "hardlink", "missing"]
+
+
+@pytest.mark.parametrize("how", SHARED_FILE)
+def test_analyze_and_listen_refuse_one_file_for_both_outputs(tmp_path, capsys, how):
+    """Before any file opens: one line and exit 1, and the file as it was."""
+    first, second = one_file_twice(tmp_path, how)
+    before = first.read_bytes() if first.exists() else None
+    flags = ["--windows-out", str(first), "--sizes-csv", second]
+    expected = f"output {second} is the --windows-out file"
+    assert main(["analyze", WORKED, *flags]) == 1
+    assert capsys.readouterr() == ("", f"coverwin: {expected}\n")
+    args = build_parsers()[0].parse_args(["listen", "--port", "0", *flags])
+    with pytest.raises(ValueError) as refused:  # main prints it as above
+        cmd_listen(args, threading.Event())
+    assert str(refused.value) == expected
+    assert capsys.readouterr() == ("", "")
+    assert (first.read_bytes() if first.exists() else None) == before
+
+
+@pytest.mark.parametrize("how", SHARED_FILE)
+def test_driftgen_refuses_one_file_for_log_and_annotations(tmp_path, capsys, how):
+    first, second = one_file_twice(tmp_path, how)
+    before = first.read_bytes() if first.exists() else None
+    argv = ["driftgen", "--scenario", "sudden", "--out", str(first)]
+    assert main([*argv, "--annotations", second]) == 2
+    assert capsys.readouterr() == ("", f"driftgen: output {second} is the --out file\n")
+    assert (first.read_bytes() if first.exists() else None) == before
+
+
+def test_driftgen_refuses_a_log_over_its_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")  # refused before it is read
+    before = spec.read_bytes()
+    assert main(["driftgen", "--spec", str(spec), "--out", str(spec)]) == 2
+    assert capsys.readouterr() == ("", f"driftgen: output {spec} is the --spec file\n")
+    assert spec.read_bytes() == before
 
 
 def test_analyze_lenient_drops_and_reports(tmp_path, capsys):
@@ -1048,7 +1182,7 @@ def test_listen_stops_cleanly_when_an_output_fails(
     """One message, the summary and exit 1, no traceback, every output
     closed, and no event windowed once an output has failed.  Every
     window counted in the summary has its stderr line, once, before the
-    failure's."""
+    failure's, and its record in the output that did not fail."""
     other = "--sizes-csv" if failing == "--windows-out" else "--windows-out"
     other_path = tmp_path / "other"
     opened = opened_files(monkeypatch)
@@ -1089,15 +1223,59 @@ def test_listen_stops_cleanly_when_an_output_fails(
         assert delivered < events
     else:
         assert (delivered, dropped, summary["windows"]) == (events, 0, "3")
+    healthy = other_path.read_text(encoding="utf-8")
     if failing == "--windows-out":
-        # the first window fails to write: its closing event is dropped
-        assert delivered == 1
+        # the first window fails to write, reaches the sizes CSV and is
+        # counted; the next event finds the failure and is dropped
+        assert delivered == 2
+        sizes = [int(row[1]) for row in read_csv(str(other_path))[1:]]
     else:
-        # the window whose sizes row failed may be in the windows file already
-        records = len(other_path.read_text(encoding="utf-8").splitlines())
-        assert int(summary["windows"]) <= records <= int(summary["windows"]) + 1
-    assert str(late_ts) not in other_path.read_text(encoding="utf-8")
+        sizes = [parse_window_record(line).size for line in healthy.splitlines()]
+    assert len(sizes) == int(summary["windows"]) and sum(sizes) == delivered
+    assert str(late_ts) not in healthy
     assert len(opened) == 2 and all(fp.closed for fp in opened)
+
+
+def test_listen_stops_cleanly_when_stderr_fails(tmp_path, capsys, monkeypatch):
+    """stderr is an output too.  When a read's window lines fail to write,
+    listen stops as for a failed file: every event sent is received and
+    counted as delivered or dropped, each file holds every window the
+    summary counts, the summary is on stdout, and the exit code is 1."""
+    windows, sizes = tmp_path / "w.jsonl", tmp_path / "s.csv"
+    args = build_parsers()[0].parse_args(
+        ["listen", "--port", "0", "--strategy", "count_tumbling", "--count", "2"]
+        + ["--windows-out", str(windows), "--sizes-csv", str(sizes)]
+    )
+    stderr = BrokenStderr(last="listening on ")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    reads, per_read = 4, 5
+    with listening(args) as (server, stop, result):
+        # the listener takes connections before it prints that line
+        deadline = time.monotonic() + 5.0
+        while not stderr.broken:
+            assert time.monotonic() < deadline, "no listening on line"
+            time.sleep(0.01)
+        with connect(server.address[1]) as sock:
+            for r in range(reads):
+                ts = range(r * per_read, (r + 1) * per_read)
+                lines = [event_to_json_line(Event("c", "A", t)) + "\n" for t in ts]
+                sock.sendall("".join(lines).encode("utf-8"))
+                drain(sock)  # the next send is another read
+        assert stop.wait(5.0)
+    assert result == [1]
+    # nothing after the "listening on" line: window lines, failure message
+    assert stderr.text.splitlines(keepends=True)[-1].startswith("listening on ")
+    stats = server.stats  # also counts what came after stop()
+    assert stats.received == stats.delivered + stats.dropped == reads * per_read
+    summary = dict(pair.split("=") for pair in capsys.readouterr().out.split())
+    assert int(summary["events"]) == stats.delivered <= per_read
+    lines = windows.read_text(encoding="utf-8").splitlines()
+    records = [parse_window_record(line) for line in lines]
+    held = [e.timestamp for r in records for e in r.events]
+    assert held == list(range(stats.delivered))
+    assert len(records) == int(summary["windows"])
+    rows = read_csv(str(sizes))[1:]
+    assert [int(row[1]) for row in rows] == [r.size for r in records]
 
 
 class CountingStderr:

@@ -12,7 +12,10 @@ dataclass field or a ``self.x =`` assignment) counts as used only through
 ``self`` inside its own class, since ``obj.x`` elsewhere may read that
 attribute.  Tests do not count as a use: code kept only for its tests is
 listed below with the reason it stays.  Every name a module imports, at any
-depth and ``from __future__`` aside, must be loaded in that module.
+depth and ``from __future__`` aside, must be loaded in that module.  Every
+``self.x =`` in a top-level class must store an ``x`` that some attribute
+read in ``src/coverwin/`` or ``perfbench/`` names; ``self.x += ...`` is no
+read.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ ALLOWED_MEMBERS = {
     "AdaptiveWindow.threshold": "criterion 2 compares the per-event ct "
     "trajectory with the batch oracle through it, and the floor-only property "
     "test reads ct through it",
+}
+ALLOWED_ATTRIBUTES = {
+    "ParseError.line_no": "ParseError is exported in coverwin.__all__, and a "
+    "caller that catches one reads the failing line's number there; the "
+    "stream_io tests do",
 }
 
 
@@ -218,6 +226,25 @@ def unused_imports() -> set[str]:
     return unused
 
 
+def unread_attributes() -> set[str]:
+    """``Class.x`` for each ``self.x`` a top-level class in ``src/`` stores
+    where no attribute that ``src/`` or ``perfbench/`` reads is named ``x``."""
+    read = {
+        node.attr
+        for path in CALLERS
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{node.name}.{a.attr}"
+        for path in SRC
+        for node in _parse(path).body
+        if isinstance(node, ast.ClassDef)
+        for a in _self_attributes(node)
+        if isinstance(a.ctx, ast.Store) and a.attr not in read
+    }
+
+
 def test_every_module_level_name_has_a_caller():
     assert unused_names() == set(ALLOWED)
 
@@ -228,3 +255,7 @@ def test_every_class_member_has_a_caller():
 
 def test_every_import_is_loaded():
     assert unused_imports() == set()
+
+
+def test_every_instance_attribute_is_read():
+    assert unread_attributes() == set(ALLOWED_ATTRIBUTES)

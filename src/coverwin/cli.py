@@ -415,8 +415,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     def sink(event) -> None:
         for species in view.extract(event):
             stats.observe(species)
-        for species in view.flush_cases(event.timestamp):
-            stats.observe(species)
+        if event.timestamp > view.idle_after:  # the rule Windower follows
+            for species in view.flush_cases(event.timestamp):
+                stats.observe(species)
 
     replay_stats = replay(source, sink)
     for species in view.flush_cases(None):
@@ -820,6 +821,14 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> No
     parser.set_defaults(**overrides)
 
 
+def _complain(message: str, status: int) -> int:
+    """Print ``message`` to stderr and return ``status``, also when stderr is
+    the output that failed: then there is nowhere left to say it."""
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+    return status
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -832,16 +841,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             # the file set defaults, so this parse lets the flags on argv win
             args = parser.parse_args(argv)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"coverwin: config error: {exc}", file=sys.stderr)
-        return 2
+        return _complain(f"coverwin: config error: {exc}", 2)
     try:
         return args.func(args)
     except (ParseError, OrderingError) as exc:
-        print(f"coverwin: input error: {exc}", file=sys.stderr)
-        return 1
+        return _complain(f"coverwin: input error: {exc}", 1)
     except (OSError, ValueError) as exc:
-        print(f"coverwin: {exc}", file=sys.stderr)
-        return 1
+        return _complain(f"coverwin: {exc}", 1)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ once a case is considered complete (no activity for ``case_timeout`` ms
 of stream time, or end of stream).
 
 Per-case context lives in a recency-ordered table so that idle cases can
-be evicted from the front in amortized O(1) per event.
+be evicted from the front in amortized O(1) per event.  An activity 1-gram
+needs no context, so that view leaves the table empty and skips the scan.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class SpeciesView:
 
     Case state persists across window boundaries: a window close does not
     interrupt running cases, so n-gram/directly-follows context built in
-    one window keeps feeding the next.
+    one window keeps feeding the next.  A 1-gram view holds no case state,
+    so ``case_timeout`` has no effect on it and ``open_cases`` stays 0.
     """
 
     def __init__(self, config: ViewConfig) -> None:
@@ -102,8 +104,9 @@ class SpeciesView:
         #: No case is idle at or before this stream time: the front case's
         #: last_seen + case_timeout at the last scan (timestamps never go
         #: back).  ``flush_cases(now)`` returns nothing while ``now`` is at
-        #: or below it, so a caller may skip the call.
-        self.idle_after = float("-inf")
+        #: or below it, so a caller may skip the call.  A 1-gram keeps no
+        #: case, so for it no case is ever idle.
+        self.idle_after = float("inf") if self._order == 1 else float("-inf")
 
     @property
     def open_cases(self) -> int:
@@ -111,6 +114,8 @@ class SpeciesView:
 
     def extract(self, event: Event) -> list[str]:
         """Species emitted by this event (empty while context is short)."""
+        if self._order == 1:  # the activity alone: no case context to keep
+            return [event.activity]
         state = self._cases.get(event.case_id)
         if state is None:
             state = _CaseState()

@@ -77,8 +77,11 @@ def test_every_traced_span_counts_each_event_once(spans, tmp_path):
     assert all(name in documented for name in SPAN_NAMES)
     assert set(adaptive) | set(count) == set(SPAN_NAMES)
     n = len(events)
+    # both runs use the default view, the 1-gram, which keeps no case: its
+    # extract must still be the class attribute, called once per event
+    per_event = ("cli.sink", "stream_io.parse_event", "views.extract")
     for run, layer in ((adaptive, "window"), (count, "baselines")):
-        for name in ("cli.sink", "stream_io.parse_event", f"{layer}.process_event"):
+        for name in (*per_event, f"{layer}.process_event"):
             assert run[name]["count"] == n, name
     assert "baselines.process_event" not in adaptive
     assert "window.process_event" not in count

@@ -9,7 +9,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverwin import Event, SpeciesView, ViewConfig
+from coverwin import AdaptiveWindow, Event, SpeciesView, ViewConfig
 from coverwin.views import (
     ACTIVITY_NGRAM,
     DIRECTLY_FOLLOWS,
@@ -175,7 +175,8 @@ def test_event_keeps_its_dataclass_contract():
 
 
 class UnguardedView:
-    """Reference view: a plain dict of every case, scanned in full."""
+    """Reference view: a plain dict of every case, scanned in full.  A 1-gram
+    needs no case context, so it keeps no case."""
 
     def __init__(self, config: ViewConfig) -> None:
         self.config = config
@@ -185,6 +186,8 @@ class UnguardedView:
         self.cases: dict[str, tuple[int, list[str]]] = {}
 
     def extract(self, event: Event) -> list[str]:
+        if self.order == 1:
+            return [event.activity]
         _, activities = self.cases.pop(event.case_id, (0, []))
         activities.append(event.activity)
         self.cases[event.case_id] = (event.timestamp, activities)
@@ -267,6 +270,37 @@ def test_no_case_is_idle_at_or_before_the_idle_bound(kind, timeout, start, ops):
             assert all(seen + timeout >= now for seen, _ in reference.cases.values())
         view.flush_cases(now)
         reference.flush_cases(now)
+
+
+@settings(max_examples=100, deadline=None)
+@given(timeout=st.integers(1, 60), start=st.integers(-(10**6), 10**6), ops=stream_ops)
+def test_a_unigram_view_keeps_no_case(timeout, start, ops):
+    """A 1-gram has no case context: no case is kept, none can go idle, so
+    a windower scans for idle cases only once, when the stream ends."""
+    calls = []
+    flush_cases = SpeciesView.flush_cases
+
+    def counting_flush_cases(view, now=None):
+        calls.append(now)
+        return flush_cases(view, now)
+
+    view = SpeciesView(ViewConfig(ACTIVITY_NGRAM, ngram_order=1, case_timeout=timeout))
+    windower = AdaptiveWindow(view, min_window_size=1)
+    events, now = [], start
+    for step, op in ops:
+        now += step
+        if op is not None:
+            events.append(Event(*op, now))
+    with pytest.MonkeyPatch.context() as patch:
+        # patched on the class, as the benchmark's span tracer patches it
+        patch.setattr(SpeciesView, "flush_cases", counting_flush_cases)
+        for event in events:
+            windower.process_event(event)
+            assert view.open_cases == 0 and view.idle_after == float("inf")
+        assert calls == []
+        windower.flush()
+    assert calls == [None]
+    assert view.open_cases == 0 and view.idle_after == float("inf")
 
 
 @settings(max_examples=100, deadline=None)

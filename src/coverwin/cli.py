@@ -31,6 +31,7 @@ from .stream_io import (
     FILE_CSV,
     FILE_JSONL,
     SOURCE_KINDS,
+    FloatTexts,
     OrderingError,
     ParseError,
     SourceConfig,
@@ -236,16 +237,27 @@ def _make_strategy(args: argparse.Namespace) -> Windower:
     return BaselineWindow(view, config)
 
 
+_SIZES_FLOATS = FloatTexts("{:.6g}".format)
+_SUMMARY_FLOATS = FloatTexts(lambda x: repr(round(x, 6)))
+
+
 def _sizes_line(r: WindowRecord) -> str:
     """One sizes-CSV row: ``csv.writer``'s bytes, as ints and ``.6g`` floats
-    never need quoting."""
-    return f"{r.index},{r.size},{r.first_ts},{r.last_ts},{r.coverage:.6g},{r.threshold:.6g}\r\n"
+    never need quoting.  Nonzero floats come from a bounded ``FloatTexts``;
+    a zero is printed here, as 0.0 and -0.0 are one key."""
+    c, t, texts = r.coverage, r.threshold, _SIZES_FLOATS
+    c = texts[c] if c else f"{c:.6g}"
+    t = texts[t] if t else f"{t:.6g}"
+    return f"{r.index},{r.size},{r.first_ts},{r.last_ts},{c},{t}\r\n"
 
 
 def _summary_line(r: WindowRecord) -> str:
     """The ``--verbose`` line of a window: ``json.dumps``'s bytes for its
-    summary, the (finite) floats rounded to 6 places, and a newline."""
-    c, t = round(r.coverage, 6), round(r.threshold, 6)
+    summary, the (finite) floats rounded to 6 places, and a newline.  As in
+    the sizes row, a zero, which rounds to itself, is printed here."""
+    c, t, texts = r.coverage, r.threshold, _SUMMARY_FLOATS
+    c = texts[c] if c else repr(c)
+    t = texts[t] if t else repr(t)
     forced = "true" if r.force_closed else "false"
     return (
         f'{{"index": {r.index}, "size": {r.size}, "coverage": {c}, '

@@ -424,19 +424,54 @@ def write_events_csv(events: Iterable[Event], path: str) -> None:
     )
 
 
+#: the most texts one FloatTexts holds
+FLOAT_TEXTS_MAX = 4096
+
+
+class FloatTexts(dict):
+    """float -> its text in one record format, printed at the first lookup.
+
+    Records repeat a few floats (the estimators depend only on n, s_n, f1
+    and f2, and ``ct`` often sits at ``mt``): a hit costs about 40 ns where
+    printing costs up to 0.6 µs (Python 3.11, a 2-vCPU Xeon VM).  Exact:
+    equal floats print alike but 0.0 and -0.0, one key, so callers print a
+    zero themselves and none is stored; keys are ``float``s, as a
+    ``WindowRecord``'s are (``1 == 1.0`` prints otherwise).  Bounded: a
+    miss on a full memo empties it first.
+    """
+
+    def __init__(self, fmt: Callable[[float], str]) -> None:
+        super().__init__()
+        self._fmt = fmt
+
+    def __missing__(self, value: float) -> str:
+        if len(self) >= FLOAT_TEXTS_MAX:
+            self.clear()
+        text = self[value] = self._fmt(value)
+        return text
+
+
+_JSON_FLOATS = FloatTexts(repr)
+
+
 def window_record_to_json(record: WindowRecord) -> str:
     """One window record as a single JSON line with a stable key order.
 
     Same text as ``json.dumps(..., separators=(",", ":"))``: a record's
     floats are finite (see ``WindowRecord``), so each prints as its repr.
+    Nonzero ones come from a bounded ``FloatTexts``; a zero is printed here,
+    as 0.0 and -0.0 are one key.
     """
     r = record
+    texts = _JSON_FLOATS
+    cov, comp, chao1, ct = r.coverage, r.completeness, r.chao1, r.threshold
     events = ",".join(map(event_to_json_line, r.events))
     return (
         f'{{"index":{r.index!r},"size":{r.size!r},"first_ts":{r.first_ts!r},'
-        f'"last_ts":{r.last_ts!r},"coverage":{r.coverage!r},'
-        f'"completeness":{r.completeness!r},"chao1":{r.chao1!r},'
-        f'"threshold":{r.threshold!r},'
+        f'"last_ts":{r.last_ts!r},"coverage":{texts[cov] if cov else repr(cov)},'
+        f'"completeness":{texts[comp] if comp else repr(comp)},'
+        f'"chao1":{texts[chao1] if chao1 else repr(chao1)},'
+        f'"threshold":{texts[ct] if ct else repr(ct)},'
         f'"force_closed":{"true" if r.force_closed else "false"},"events":[{events}]}}'
     )
 

@@ -35,6 +35,8 @@ from coverwin.baselines import BASELINE_KINDS, BaselineConfig
 from coverwin.bench import drift_adaptation_stats, first_window_at_case, run_stream
 from coverwin.cli import (
     SIZES_HEADER,
+    _SIZES_FLOATS,
+    _SUMMARY_FLOATS,
     _line,
     _make_source,
     _make_strategy,
@@ -48,10 +50,13 @@ from coverwin.cli import (
 )
 from coverwin.stream_io import (
     FILE_CSV,
+    FLOAT_TEXTS_MAX,
+    _JSON_FLOATS,
     SourceConfig,
     StopServing,
     StreamServer,
     event_to_json_line,
+    window_record_to_json,
     write_events_jsonl,
 )
 from coverwin.views import VIEW_KINDS, Event, SpeciesView, ViewConfig
@@ -95,9 +100,13 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, *FINITE_EDGE_FLOATS]
 @example(0, 1, 2, 3, 1e-300, 1e21)
 def test_sizes_line_is_csv_writers_row(index, size, first_ts, last_ts, cov, thr):
     record = WindowRecord(index, (), size, first_ts, last_ts, cov, 0.0, 0.0, thr)
+    assert _sizes_line(record) == csv_writers_row(record)
+
+
+def csv_writers_row(record):
     expected = io.StringIO(newline="")
     csv.writer(expected).writerow(sizes_cells(record))
-    assert _sizes_line(record) == expected.getvalue()
+    return expected.getvalue()
 
 
 BIG_FLOATS = [1.7976931348623157e308, -1e300, 5e-324, 1e-7, -4.5e-7]
@@ -116,14 +125,69 @@ summary_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_f
 @example(12, 5, 5e-324, 1e21, True)
 def test_summary_line_is_json_dumps_of_the_summary(index, size, cov, thr, forced):
     record = WindowRecord(index, (), size, 0, 0, cov, 0.0, 0.0, thr, forced)
+    assert _summary_line(record) == json_dumps_of_the_summary(record)
+
+
+def json_dumps_of_the_summary(record):
     summary = {
-        "index": index,
-        "size": size,
-        "coverage": round(cov, 6),
-        "threshold": round(thr, 6),
-        "force_closed": forced,
+        "index": record.index,
+        "size": record.size,
+        "coverage": round(record.coverage, 6),
+        "threshold": round(record.threshold, 6),
+        "force_closed": record.force_closed,
     }
-    assert _summary_line(record) == json.dumps(summary) + "\n"
+    return json.dumps(summary) + "\n"
+
+
+# each record encoder, the FloatTexts behind it and the text it must give
+MEMO_ENCODERS = (
+    (window_record_to_json, _JSON_FLOATS, dumps_window_record),
+    (_sizes_line, _SIZES_FLOATS, csv_writers_row),
+    (_summary_line, _SUMMARY_FLOATS, json_dumps_of_the_summary),
+)
+
+
+def record_of(value):
+    """A record whose four floats are all ``value``."""
+    return WindowRecord(3, (), 7, 10, 20, value, value, value, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, 1e-7, -1e-7, 0.1 + 0.2, *EDGE_FLOATS])
+        | st.floats(),
+        max_size=12,
+    )
+)
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, -0.0])
+@example([0.65, 0.65])
+@example([math.nan, math.nan, math.inf, -math.inf, math.inf])
+def test_float_memos_print_what_plain_formatting_prints(values):
+    """The memos start empty; a zero of either sign, looked up after the
+    other, a value met twice and, in the sizes row, NaN and the infinities
+    print as the standard library prints them."""
+    for _, memo, _ in MEMO_ENCODERS:
+        memo.clear()
+    for value in values:
+        record = record_of(value)
+        for encode, _, reference in MEMO_ENCODERS:
+            # only the sizes row is asked to print a non-finite float
+            if math.isfinite(value) or encode is _sizes_line:
+                assert encode(record) == reference(record)
+    for _, memo, _ in MEMO_ENCODERS:
+        assert all(memo) and all(type(v) is float for v in memo)
+
+
+def test_float_memos_hold_at_most_their_cap():
+    values = [0.5 + i / 2**20 for i in range(FLOAT_TEXTS_MAX + 100)]
+    for encode, memo, reference in MEMO_ENCODERS:
+        memo.clear()
+        for value in values:
+            record = record_of(value)
+            assert encode(record) == reference(record)
+            assert 0 < len(memo) <= FLOAT_TEXTS_MAX
 
 
 def read_csv(path):

@@ -5,7 +5,10 @@ built-in scenario written as JSONL.  The SHA-256 of the windows JSONL, of
 the sizes CSV and of the summary line must match
 ``tests/data/golden_outputs.json``.  The runs are the six small scenarios
 x four views x four strategies, plus ``throughput`` with the two flag sets
-perfbench runs it with.  Outputs do not depend on ``PYTHONHASHSEED``.
+perfbench runs it with.  Each run is made again with ``--verbose``, which
+must leave those three outputs as they were; the SHA-256 of its window
+lines on stderr is pinned under ``verbose/`` and the run's name.  Outputs
+do not depend on ``PYTHONHASHSEED``.
 
 The same file pins, per small scenario, ``bench drift`` under each
 strategy, ``bench compare`` with the default seed and with ``--seed 3``
@@ -93,8 +96,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def analyze_digests(argv: list[str], windows: str, sizes: str) -> dict[str, str]:
+    """Digests of the windows JSONL, sizes CSV, summary line and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 0, argv
+    with open(windows, "rb") as fp:
+        windows_digest = _sha256(fp.read())
+    with open(sizes, "rb") as fp:
+        sizes_digest = _sha256(fp.read())
+    return {
+        "windows": windows_digest,
+        "sizes": sizes_digest,
+        "summary": _sha256(stdout.getvalue().encode("utf-8")),
+        "stderr": _sha256(stderr.getvalue().encode("utf-8")),
+    }
+
+
 def scenario_digests(scenario: str, workdir: str) -> dict[str, dict[str, str]]:
-    """Run name -> digests of windows JSONL, sizes CSV and summary line."""
+    """Run name -> digests of windows JSONL, sizes CSV and summary line, and
+    ``verbose/`` + run name -> digest of the ``--verbose`` window lines."""
     events, _ = driftgen.generate(driftgen.builtin_scenario(scenario))
     path = os.path.join(workdir, f"{scenario}.jsonl")
     windows = os.path.join(workdir, "windows.jsonl")
@@ -102,20 +124,14 @@ def scenario_digests(scenario: str, workdir: str) -> dict[str, dict[str, str]]:
     write_events_jsonl(events, path)
     out: dict[str, dict[str, str]] = {}
     for name, flags in runs_of(scenario).items():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            outputs = ["--windows-out", windows, "--sizes-csv", sizes]
-            code = main(["analyze", path, *flags, *outputs])
-        assert code == 0, name
-        with open(windows, "rb") as fp:
-            windows_digest = _sha256(fp.read())
-        with open(sizes, "rb") as fp:
-            sizes_digest = _sha256(fp.read())
-        out[name] = {
-            "windows": windows_digest,
-            "sizes": sizes_digest,
-            "summary": _sha256(stdout.getvalue().encode("utf-8")),
-        }
+        argv = ["analyze", path, *flags, "--windows-out", windows, "--sizes-csv", sizes]
+        plain = analyze_digests(argv, windows, sizes)
+        verbose = analyze_digests([*argv, "--verbose"], windows, sizes)
+        window_lines = verbose.pop("stderr")
+        assert plain.pop("stderr") == _sha256(b""), name
+        assert verbose == plain, name
+        out[name] = plain
+        out[f"verbose/{name}"] = {"stderr": window_lines}
     return out
 
 
@@ -193,10 +209,11 @@ def load_golden() -> dict[str, dict[str, object]]:
 
 def test_golden_file_covers_every_run():
     analyze = {name for sc in (*SMALL_SCENARIOS, "throughput") for name in runs_of(sc)}
+    verbose = {f"verbose/{name}" for name in analyze}
     commands = {name for sc in SMALL_SCENARIOS for name in command_runs_of(sc, "")}
     helps = {"help/" + " ".join(("coverwin", *cmd)) for cmd in PARSERS}
-    assert set(load_golden()) == analyze | commands | helps
-    assert len(analyze) == 6 * 4 * 4 + 2
+    assert set(load_golden()) == analyze | verbose | commands | helps
+    assert len(analyze) == len(verbose) == 6 * 4 * 4 + 2
     assert len(commands) == 6 * (4 + 2 + 3)
     assert len(helps) == 10
 

@@ -1,9 +1,9 @@
-"""Benchmark harness: drift adaptation, accuracy proxy, speed.
+"""Benchmark harness: drift adaptation, accuracy proxy, latency.
 
 Three groups of helpers.  Window-size reaction statistics around a known
 drift point; a directly-follows accuracy proxy that scores a window's
-pair set against a ground-truth regime; and latency/throughput
-measurement for the per-event path.
+pair set against a ground-truth regime; and per-window latency of the
+per-event path.  Throughput is measured by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from statistics import correlation, fmean, median, pstdev, quantiles, stdev
-from typing import Callable, Iterable, Sequence
+from statistics import correlation, fmean, median, pstdev, quantiles
+from typing import Iterable, Sequence
 
 from .driftgen import VariantPool, case_number
 from .views import Event, SpeciesView, ViewConfig
 from .window import AdaptiveWindow, ThresholdState, Windower, WindowRecord
-from .stream_io import SourceConfig, replay
 
 
 def run_stream(events: Iterable[Event], strategy: Windower) -> list[WindowRecord]:
@@ -186,7 +185,7 @@ def summarize_accuracy(
     )
 
 
-# --- speed ------------------------------------------------------------------
+# --- latency ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -251,39 +250,3 @@ def linear_fit_r2(xs: Sequence[float], ys: Sequence[float]) -> float:
     if len(set(ys)) < 2:
         return 1.0  # a flat target is fitted exactly
     return correlation(xs, ys) ** 2
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """Events per second over repeated full-file runs (sample std)."""
-
-    events: int
-    runs: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return fmean(self.runs)
-
-    @property
-    def std(self) -> float:
-        return stdev(self.runs) if len(self.runs) > 1 else 0.0
-
-
-def measure_throughput(
-    source: SourceConfig,
-    strategy_factory: Callable[[], Windower],
-    runs: int = 5,
-) -> ThroughputReport:
-    """Replay the whole file ``runs`` times, each with a fresh pipeline,
-    timing each run from opening the file to its last event, not the flush."""
-    if runs < 1:
-        raise ValueError("need at least one run")
-    rates = []
-    events = 0
-    for _ in range(runs):
-        strategy = strategy_factory()
-        start = time.perf_counter()
-        events = replay(source, strategy.process_event).delivered
-        rates.append(events / (time.perf_counter() - start))
-        strategy.flush()
-    return ThroughputReport(events=events, runs=tuple(rates))

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze (window a file), estimate (whole-file estimates),
-driftgen (synthesize drifting streams), bench (latency, throughput,
-drift reaction, strategy comparison), listen (TCP ingestion).
+driftgen (synthesize drifting streams), bench (latency, drift reaction,
+strategy comparison), listen (TCP ingestion).
 
 Every subcommand accepts ``--config FILE`` with ``key = value`` lines;
 keys are the flag names with underscores.  Precedence: command-line flag
@@ -82,10 +82,14 @@ def _write_table(outdir: str, name: str, rows: Sequence) -> None:
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated window sizes, each at least 1."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a size list: {text!r}") from None
+        sizes = None
+    if sizes is None or any(n < 1 for n in sizes):
+        raise argparse.ArgumentTypeError(f"not a size list: {text!r}")
+    return sizes
 
 
 # --- flag groups ------------------------------------------------------------
@@ -510,30 +514,6 @@ def cmd_bench_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_throughput(args: argparse.Namespace) -> int:
-    from . import bench
-
-    source = _make_source(args)
-    report = bench.measure_throughput(source, lambda: _make_strategy(args), args.runs)
-    print(
-        _line(
-            events=report.events,
-            runs=len(report.runs),
-            mean_eps=report.mean,
-            std_eps=report.std,
-            min_eps=min(report.runs),
-            max_eps=max(report.runs),
-        )
-    )
-    if args.outdir:
-        write_metrics_csv(
-            _outpath(args.outdir, "throughput.csv"),
-            ("run", "events", "events_per_sec"),
-            [_cells((i, report.events, r)) for i, r in enumerate(report.runs)],
-        )
-    return 0
-
-
 def cmd_bench_drift(args: argparse.Namespace) -> int:
     from . import bench
 
@@ -703,18 +683,6 @@ def build_parsers() -> tuple[
     )
     b.add_argument("--trials", type=int, default=7, help="timed trials per size")
     _add_outdir_flag(b, "latency.csv")
-
-    b = command(
-        bench_subs,
-        ("bench", "throughput"),
-        cmd_bench_throughput,
-        "events per second over a file",
-    )
-    _add_source_flags(b)
-    _add_view_flags(b)
-    _add_strategy_flags(b)
-    b.add_argument("--runs", type=int, default=5, help="full-file repetitions")
-    _add_outdir_flag(b, "throughput.csv")
 
     b = command(
         bench_subs,

@@ -1,4 +1,4 @@
-"""Benchmark helpers: drift statistics, accuracy proxy, speed probes."""
+"""Benchmark helpers: drift statistics, accuracy proxy, latency."""
 
 from __future__ import annotations
 
@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coverwin import (
-    AdaptiveWindow,
     BaselineConfig,
     BaselineWindow,
     Event,
-    SourceConfig,
     SpeciesView,
     ViewConfig,
 )
 from coverwin.bench import (
     DfgAccuracy,
     LatencyRow,
-    ThroughputReport,
     df_pairs,
     dfg_accuracy,
     drift_adaptation_stats,
@@ -27,13 +24,11 @@ from coverwin.bench import (
     linear_fit_r2,
     majority_pool,
     measure_latency,
-    measure_throughput,
     pool_reference_pairs,
     run_stream,
     summarize_accuracy,
 )
 from coverwin.driftgen import builtin_scenario, generate, make_pool
-from coverwin.stream_io import FILE_JSONL, write_events_jsonl
 from coverwin.window import WindowRecord
 
 from conftest import make_events
@@ -221,23 +216,6 @@ def test_measure_latency_shape():
         assert 0 < row.min_seconds <= row.median_seconds
 
 
-def test_measure_throughput(tmp_path):
-    events, _ = generate(builtin_scenario("steady3"))
-    path = str(tmp_path / "ev.jsonl")
-    write_events_jsonl(events, path)
-    report = measure_throughput(
-        SourceConfig(FILE_JSONL, path),
-        lambda: AdaptiveWindow(SpeciesView(ViewConfig())),
-        runs=2,
-    )
-    assert report.events == len(events)
-    assert len(report.runs) == 2
-    assert report.mean > 0
-    assert report.std >= 0
-    with pytest.raises(ValueError):
-        measure_throughput(SourceConfig(FILE_JSONL, path), lambda: None, runs=0)
-
-
 def test_statistics_match_the_numpy_formulas():
     """The stdlib statistics agree with the numpy code they replaced.
 
@@ -271,9 +249,8 @@ def test_statistics_match_the_numpy_formulas():
         noise=st.lists(st.integers(-500, 500), min_size=12, max_size=12),
         unit=st.floats(1e-7, 1e-3),
         times=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30),
-        runs=st.lists(st.floats(1e3, 1e6), min_size=1, max_size=10),
     )
-    def check(sizes, xs, slope, noise, unit, times, runs):
+    def check(sizes, xs, slope, noise, unit, times):
         before = len(sizes) // 3 or 1
         after = len(sizes) - before
         rep = drift_adaptation_stats(sizes, before, before=before, after=after)
@@ -306,10 +283,5 @@ def test_statistics_match_the_numpy_formulas():
         row = LatencyRow.from_samples(7, times)
         assert close(row.median_seconds, float(np.median(times)))
         assert close(row.p95_seconds, float(np.percentile(times, 95)))
-
-        report = ThroughputReport(events=1, runs=tuple(runs))
-        assert close(report.mean, float(np.mean(runs)))
-        std = float(np.std(runs, ddof=1)) if len(runs) > 1 else 0.0
-        assert close(report.std, std, max(runs))
 
     check()

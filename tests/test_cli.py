@@ -12,6 +12,7 @@ import json
 import math
 import os
 import queue
+import re
 import shutil
 import signal
 import socket
@@ -242,6 +243,51 @@ def test_estimate_memory_does_not_grow_with_the_stream(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert large_peak - small_peak <= 256 * 1024, (small_peak, large_peak)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("c1", "c2", "c3", "c4")),
+            st.sampled_from("ABCD"),
+            st.integers(0, 150),
+        ),
+        max_size=40,
+    ),
+    view=st.sampled_from(VIEW_KINDS),
+    order=st.integers(1, 3),
+    timeout=st.sampled_from((1, 10, 100)),
+)
+def test_estimate_feeds_species_by_the_rule_windower_follows(
+    steps, view, order, timeout
+):
+    """estimate prints the estimates of the one record that a Windower with
+    no close rule flushes over the same events; the gaps and timeouts let
+    cases go idle mid-stream.  No events print zeros."""
+    events, ts = [], 0
+    for case_id, activity, gap in steps:
+        ts += gap
+        events.append(Event(case_id, activity, ts))
+    windower = Windower(SpeciesView(ViewConfig(view, order, timeout)))
+    for event in events:
+        assert windower.process_event(event) is None
+    record = windower.flush()
+    values = (0.0, 0.0, 0.0)
+    if record is not None:
+        values = (record.chao1, record.completeness, record.coverage)
+    expected = " ".join(
+        f"{key}={value:.6g}"
+        for key, value in zip(("chao1", "completeness", "coverage"), values)
+    )
+    flags = ["--view", view, "--ngram", str(order), "--case-timeout", str(timeout)]
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "events.jsonl")
+        write_events_jsonl(events, path)
+        with contextlib.redirect_stdout(stdout):
+            assert main(["estimate", path, *flags]) == 0
+    assert f" {expected} " in stdout.getvalue()
 
 
 def test_analyze_writes_windows_and_sizes(tmp_path, capsys):
@@ -496,9 +542,7 @@ UNREADABLE_CSV = {
 }
 
 
-@pytest.mark.parametrize(
-    "command", [["analyze"], ["estimate"], ["bench", "throughput", "--runs", "1"]]
-)
+@pytest.mark.parametrize("command", [["analyze"], ["estimate"]])
 @pytest.mark.parametrize(
     ("text", "line_no"), UNREADABLE_CSV.values(), ids=UNREADABLE_CSV
 )
@@ -810,26 +854,16 @@ def test_bench_latency_rejects_unusable_input(capsys, flags):
 
 
 def test_bench_latency_rejects_a_size_list_that_is_not_one(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "latency", "--sizes", "5,x"])
-    assert exc.value.code == 2
-    assert "not a size list: '5,x'" in capsys.readouterr().err
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("sizes = 5,x\n", encoding="utf-8")
-    assert main(["bench", "latency", "--config", str(cfg)]) == 2
-    assert "config error: not a size list: '5,x'" in capsys.readouterr().err
-
-
-def test_bench_throughput(tmp_path, capsys):
-    events = make_events("ABCDE" * 40)
-    path = str(tmp_path / "ev.jsonl")
-    write_events_jsonl(events, path)
-    code = main(["bench", "throughput", path, "--runs", "2", "--outdir", str(tmp_path)])
-    assert code == 0
-    assert "mean_eps=" in capsys.readouterr().out
-    rows = read_csv(str(tmp_path / "throughput.csv"))
-    assert rows[0] == ["run", "events", "events_per_sec"]
-    assert len(rows) == 3
+    # a size below 1 is refused by the flag, not later by the window it sizes
+    for sizes in ("5,x", "0,10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "latency", "--sizes", sizes])
+        assert exc.value.code == 2
+        assert f"not a size list: '{sizes}'" in capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"sizes = {sizes}\n", encoding="utf-8")
+        assert main(["bench", "latency", "--config", str(cfg)]) == 2
+        assert f"config error: not a size list: '{sizes}'" in capsys.readouterr().err
 
 
 def test_bench_drift(tmp_path, capsys):
@@ -912,6 +946,14 @@ def test_bench_compare_help_shows_stricter_floor(capsys):
     assert "default: 0.75" in capsys.readouterr().out
 
 
+def test_readme_names_the_commands_the_parser_has():
+    """Every command is named in README as ``coverwin <command> [<sub>]``,
+    and every command README names, at a prompt or in a code span, exists."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    mentions = re.findall(r"(?m)(?:^|\$ |`)coverwin (bench [a-z]+|[a-z]+)", readme)
+    assert {tuple(m.split()) for m in mentions} == set(build_parsers()[1])
+
+
 STRATEGY_FLAGS = [
     ["--strategy", "adaptive"],
     ["--strategy", "count_tumbling", "--count", "20"],
@@ -986,9 +1028,7 @@ def parse(argv):
 
 def reaches_the_strategy(tmp_path, capsys):
     threshold = ThresholdState(ct=0.8, sf=0.3, dr=0.2, mt=0.6, delta=0.02, w=7)
-    for command in (
-        ["analyze", "x"], ["bench", "throughput", "x"], ["bench", "drift"], ["listen"]
-    ):
+    for command in (["analyze", "x"], ["bench", "drift"], ["listen"]):
         for name in ("adaptive", *BASELINE_KINDS):
             argv = [*command, "--strategy", name, *RULE_FLAGS, *VIEW_FLAGS]
             windower = _make_strategy(parse(argv))
@@ -1002,7 +1042,7 @@ def reaches_the_strategy(tmp_path, capsys):
 
 def reaches_the_source(tmp_path, capsys):
     # by its extension alone, a .log file would be read as JSON lines
-    for command in (["analyze"], ["estimate"], ["bench", "throughput"]):
+    for command in (["analyze"], ["estimate"]):
         args = parse([*command, "ev.log", "--format", "csv", "--lenient"])
         expected = SourceConfig(FILE_CSV, "ev.log", strict_order=False)
         assert _make_source(args) == expected
@@ -1641,19 +1681,16 @@ def test_coverwin_imports_only_the_standard_library():
     assert out.strip() == "[]"
 
 
-def test_bench_commands_run_without_numpy(tmp_path):
-    path = str(tmp_path / "ev.jsonl")
-    write_events_jsonl(make_events("ABCDE" * 40), path)
+def test_bench_commands_run_without_numpy():
     out = run_python(
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from coverwin.cli import main\n"
         "codes = [\n"
         "    main(['bench', 'latency', '--sizes', '5,10', '--trials', '2']),\n"
-        f"    main(['bench', 'throughput', {path!r}, '--runs', '2']),\n"
         "    main(['bench', 'drift', '--scenario', 'steady3']),\n"
         "    main(['bench', 'compare', '--scenario', 'steady3']),\n"
         "]\n"
         "print(codes)\n"
     )
-    assert out.splitlines()[-1] == "[0, 0, 0, 0]"
+    assert out.splitlines()[-1] == "[0, 0, 0]"

@@ -74,7 +74,6 @@ PARSERS = (
     ("driftgen",),
     ("bench",),
     ("bench", "latency"),
-    ("bench", "throughput"),
     ("bench", "drift"),
     ("bench", "compare"),
     ("listen",),
@@ -215,7 +214,7 @@ def test_golden_file_covers_every_run():
     assert set(load_golden()) == analyze | verbose | commands | helps
     assert len(analyze) == len(verbose) == 6 * 4 * 4 + 2
     assert len(commands) == 6 * (4 + 2 + 3)
-    assert len(helps) == 10
+    assert len(helps) == 9
 
 
 @pytest.mark.parametrize("scenario", [*SMALL_SCENARIOS, "throughput"])

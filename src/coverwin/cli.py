@@ -431,9 +431,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     def sink(event) -> None:
         for species in view.extract(event):
             stats.observe(species)
-        if event.timestamp > view.idle_after:  # the rule Windower follows
-            for species in view.flush_cases(event.timestamp):
-                stats.observe(species)
 
     replay_stats = replay(source, sink)
     for species in view.flush_cases(None):
@@ -762,7 +759,7 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(action: argparse.Action, text: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+    if isinstance(action, argparse._StoreTrueAction):
         lowered = text.lower()
         if lowered in _TRUE:
             return True

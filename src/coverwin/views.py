@@ -87,7 +87,8 @@ class SpeciesView:
 
     Case state persists across window boundaries: a window close does not
     interrupt running cases, so n-gram/directly-follows context built in
-    one window keeps feeding the next.  A 1-gram view holds no case state,
+    one window keeps feeding the next.  ``extract`` also completes the
+    cases that its event shows idle.  A 1-gram view holds no case state,
     so ``case_timeout`` has no effect on it and ``open_cases`` stays 0.
     """
 
@@ -103,9 +104,8 @@ class SpeciesView:
         self._cases: OrderedDict[str, _CaseState] = OrderedDict()
         #: No case is idle at or before this stream time: the front case's
         #: last_seen + case_timeout at the last scan (timestamps never go
-        #: back).  ``flush_cases(now)`` returns nothing while ``now`` is at
-        #: or below it, so a caller may skip the call.  A 1-gram keeps no
-        #: case, so for it no case is ever idle.
+        #: back).  ``extract`` scans only for an event past it.  A 1-gram
+        #: keeps no case, so for it no case is ever idle.
         self.idle_after = float("inf") if self._order == 1 else float("-inf")
 
     @property
@@ -113,7 +113,10 @@ class SpeciesView:
         return len(self._cases)
 
     def extract(self, event: Event) -> list[str]:
-        """Species emitted by this event (empty while context is short)."""
+        """The event's own species (none while its case holds under n
+        activities), then those of the cases idle at its time.  The scan
+        runs only past ``idle_after`` and after the event touched its case,
+        so a case revisited after its timeout keeps its history."""
         if self._order == 1:  # the activity alone: no case context to keep
             return [event.activity]
         state = self._cases.get(event.case_id)
@@ -128,21 +131,20 @@ class SpeciesView:
         # an n-gram once the case holds n; directly-follows is the 2-gram
         if len(recent) > self._order:
             del recent[0]
-        if len(recent) == self._order:
-            return [SEPARATOR.join(recent)]
-        return []
+        species = [SEPARATOR.join(recent)] if len(recent) == self._order else []
+        if event.timestamp > self.idle_after:
+            species += self.flush_cases(event.timestamp)
+        return species
 
     def flush_cases(self, now: int | None = None) -> list[str]:
         """Complete idle cases and return any trace-variant species.
 
         A case is idle when its last activity is more than ``case_timeout``
-        ms of stream time before ``now``.  ``now=None`` means end of
-        stream: every remaining case completes.  For non-variant views the
-        only effect is that evicted cases lose their context.  Timestamps
-        must reach the view in non-decreasing order.
+        ms of stream time before ``now``, the time of the event ``extract``
+        holds; ``None`` means end of stream: every case completes.  For
+        non-variant views an evicted case only loses its context.
+        Timestamps must reach the view in non-decreasing order.
         """
-        if now is not None and now <= self.idle_after:
-            return []
         emit_variants = self.config.kind == TRACE_VARIANT
         timeout = self.config.case_timeout
         emitted: list[str] = []

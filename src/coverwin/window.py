@@ -179,16 +179,8 @@ class Windower:
             closed = self._close(force=False)
         self._buffer.append(event)
         observe = self._stats.observe
-        view = self.view
-        for species in view.extract(event):
+        for species in self.view.extract(event):
             observe(species)
-        # completed-case species (trace variants) belong to the window
-        # that is open when the completion is detected; no case can be
-        # idle before the view's idle bound, so the call is skipped
-        now = event.timestamp
-        if now > view.idle_after:
-            for species in view.flush_cases(now):
-                observe(species)
         if self._is_complete():
             closed = self._close(force=False)
         return closed

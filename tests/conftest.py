@@ -214,9 +214,6 @@ def batch_reference_run(
         for sp in view.extract(ev):
             stats.observe(sp)
             total_obs += 1
-        for sp in view.flush_cases(ev.timestamp):
-            stats.observe(sp)
-            total_obs += 1
         cov = coverage(stats)
         history.append(cov)
         if len(history) >= 3:

@@ -1028,16 +1028,34 @@ def parse(argv):
 
 def reaches_the_strategy(tmp_path, capsys):
     threshold = ThresholdState(ct=0.8, sf=0.3, dr=0.2, mt=0.6, delta=0.02, w=7)
+
+    def check(windower, name):
+        assert windower.view.config == ViewConfig("directly_follows", 3, 1234)
+        if name == "adaptive":
+            assert windower.threshold == threshold
+            assert windower.min_window_size == 9
+        else:
+            assert windower.config == BaselineConfig(name, 11, 2222, "B")
+
     for command in (["analyze", "x"], ["bench", "drift"], ["listen"]):
         for name in ("adaptive", *BASELINE_KINDS):
             argv = [*command, "--strategy", name, *RULE_FLAGS, *VIEW_FLAGS]
-            windower = _make_strategy(parse(argv))
-            assert windower.view.config == ViewConfig("directly_follows", 3, 1234)
-            if name == "adaptive":
-                assert windower.threshold == threshold
-                assert windower.min_window_size == 9
-            else:
-                assert windower.config == BaselineConfig(name, 11, 2222, "B")
+            check(_make_strategy(parse(argv)), name)
+    # bench compare builds its three rules itself; each is checked as built,
+    # before its run moves the threshold
+    built = []
+
+    def capturing(args):
+        windower = _make_strategy(args)
+        check(windower, args.strategy)
+        built.append(args.strategy)
+        return windower
+
+    argv = ["bench", "compare", "--scenario", "steady3", *RULE_FLAGS, *VIEW_FLAGS]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coverwin.cli, "_make_strategy", capturing)
+        assert main(argv) == 0
+    assert built == ["adaptive", "count_tumbling", "landmark"]
 
 
 def reaches_the_source(tmp_path, capsys):

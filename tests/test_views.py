@@ -97,10 +97,20 @@ def test_timeout_evicts_only_idle_cases():
     cfg = ViewConfig(TRACE_VARIANT, case_timeout=1000)
     view = SpeciesView(cfg)
     view.extract(Event("old", "A", 1000))
-    view.extract(Event("new", "B", 2500))
-    # old is idle (1000 + 1000 < 3000), new is not (2500 + 1000 >= 3000)
-    assert view.flush_cases(3000) == ["A"]
+    # old is idle (1000 + 1000 < 2500), new is not: the event that shows
+    # old idle hands over its variant
+    assert view.extract(Event("new", "B", 2500)) == ["A"]
     assert view.open_cases == 1
+
+
+def test_a_case_revisited_after_its_timeout_keeps_its_history():
+    # extract touches the event's case before it scans for idle cases, so
+    # a, idle at 2600 before its event, is refreshed; only b completes
+    view = SpeciesView(ViewConfig(TRACE_VARIANT, case_timeout=1000))
+    assert view.extract(Event("a", "A", 1000)) == []
+    assert view.extract(Event("b", "B", 1500)) == []
+    assert view.extract(Event("a", "C", 2600)) == ["B"]
+    assert view.flush_cases(None) == ["A|C"]
 
 
 def test_timeout_boundary_is_exclusive():
@@ -175,8 +185,8 @@ def test_event_keeps_its_dataclass_contract():
 
 
 class UnguardedView:
-    """Reference view: a plain dict of every case, scanned in full.  A 1-gram
-    needs no case context, so it keeps no case."""
+    """Reference view: a plain dict of every case, scanned in full at every
+    event.  A 1-gram needs no case context, so it keeps no case."""
 
     def __init__(self, config: ViewConfig) -> None:
         self.config = config
@@ -191,9 +201,10 @@ class UnguardedView:
         _, activities = self.cases.pop(event.case_id, (0, []))
         activities.append(event.activity)
         self.cases[event.case_id] = (event.timestamp, activities)
+        own = []
         if self.order is not None and len(activities) >= self.order:
-            return ["|".join(activities[-self.order :])]
-        return []
+            own = ["|".join(activities[-self.order :])]
+        return own + self.flush_cases(event.timestamp)
 
     def flush_cases(self, now: int | None) -> list[str]:
         timeout = self.config.case_timeout
@@ -207,7 +218,7 @@ class UnguardedView:
 
 
 # a non-decreasing stream: events (case, activity) and bare flush_cases(now)
-# calls, each a step of 0..40 ms after the one before
+# calls (None), each a step of 0..40 ms after the one before
 stream_ops = st.lists(
     st.tuples(
         st.integers(0, 40),
@@ -220,14 +231,16 @@ stream_ops = st.lists(
 
 
 def drive(views, start, ops):
-    """Feed ops to every view as Windower does; yields each step's results."""
+    """Feed ops to every view, an event to extract as Windower does and a
+    bare step to flush_cases(now); yields each step's results."""
     now = start
     for step, op in ops:
         now += step
-        if op is not None:
+        if op is None:
+            yield [v.flush_cases(now) for v in views]
+        else:
             event = Event(op[0], op[1], now)
             yield [v.extract(event) for v in views]
-        yield [v.flush_cases(now) for v in views]
     yield [v.flush_cases(None) for v in views]
 
 
@@ -256,20 +269,18 @@ def test_guarded_flush_matches_a_full_scan(kind, order, timeout, start, ops):
     ops=stream_ops,
 )
 def test_no_case_is_idle_at_or_before_the_idle_bound(kind, timeout, start, ops):
-    # Windower skips flush_cases while an event's time is not past idle_after
+    # extract skips its idle-case scan while its event's time is not past
+    # idle_after; the bound is checked at each step before the event
     config = ViewConfig(kind, case_timeout=timeout)
     view, reference = SpeciesView(config), UnguardedView(config)
     now = start
     for step, op in ops:
         now += step
-        if op is not None:
-            event = Event(op[0], op[1], now)
-            view.extract(event)
-            reference.extract(event)
         if now <= view.idle_after:
             assert all(seen + timeout >= now for seen, _ in reference.cases.values())
-        view.flush_cases(now)
-        reference.flush_cases(now)
+        if op is not None:
+            event = Event(op[0], op[1], now)
+            assert view.extract(event) == reference.extract(event)
 
 
 @settings(max_examples=100, deadline=None)

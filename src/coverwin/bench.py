@@ -215,10 +215,7 @@ def _time_one_window(events: Sequence[Event]) -> float:
         SpeciesView(ViewConfig()), ThresholdState(), min_window_size=len(events)
     )
     start = time.perf_counter()
-    for event in events:
-        record = window.process_event(event)
-    if record is None:
-        window.flush()
+    run_stream(events, window)
     return time.perf_counter() - start
 
 

@@ -4,9 +4,9 @@ Subcommands: analyze (window a file), estimate (whole-file estimates),
 driftgen (synthesize drifting streams), bench (latency, drift reaction,
 strategy comparison), listen (TCP ingestion).
 
-Every subcommand accepts ``--config FILE`` with ``key = value`` lines;
-keys are the flag names with underscores.  Precedence: command-line flag
-over config file over built-in default.
+Every subcommand accepts ``--config FILE`` with ``key = value`` lines; keys
+are the flags argv may omit, bar --help and --config, with underscores.
+Precedence: command-line flag over config file over built-in default.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
         default="adaptive",
         help="windowing strategy",
     )
-    _add_rule_flags(p)
+    _add_rule_flags(p, timed=True)
 
 
-def _add_rule_flags(p: argparse.ArgumentParser) -> None:
+def _add_rule_flags(p: argparse.ArgumentParser, timed: bool) -> None:
     t = ThresholdState
     p.add_argument("--ct0", type=float, default=t.ct, help="initial closing threshold")
     p.add_argument("--sf0", type=float, default=t.sf, help="initial smoothing factor")
@@ -178,9 +178,9 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--count", type=int, default=b.count, help="events per count_tumbling window"
     )
-    p.add_argument(
-        "--duration", type=int, default=b.duration, help="ms per time_tumbling window"
-    )
+    if timed:
+        ms = "ms per time_tumbling window"
+        p.add_argument("--duration", type=int, default=b.duration, help=ms)
     p.add_argument(
         "--landmark-activity", default="A", help="activity that opens a landmark window"
     )
@@ -235,7 +235,8 @@ def _make_strategy(args: argparse.Namespace) -> Windower:
     config = BaselineConfig(
         kind=args.strategy,
         count=args.count,
-        duration=args.duration,
+        # bench compare runs no time_tumbling rule, so it has no --duration
+        duration=getattr(args, "duration", BaselineConfig.duration),
         landmark_activity=args.landmark_activity,
     )
     return BaselineWindow(view, config)
@@ -707,7 +708,7 @@ def build_parsers() -> tuple[
     _add_scenario_flags(b)
     _add_view_flags(b)
     b.set_defaults(view="directly_follows")
-    _add_rule_flags(b)
+    _add_rule_flags(b, timed=False)
     # Accuracy is scored on directly-follows pairs, so the close criterion
     # must demand pair-level representativeness; the global floor of 0.5 is
     # too permissive for that and would dominate every close decision.
@@ -784,7 +785,8 @@ class _ConfigFile(argparse.Action):
 
 
 def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
-    by_dest = {a.dest: a for a in parser._actions}
+    optional = [a for a in parser._actions if a.option_strings and not a.required]
+    by_dest = {a.dest: a for a in optional if a.dest not in ("help", "config")}
     overrides = {}
     for key, text in values.items():
         action = by_dest.get(key)

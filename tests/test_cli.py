@@ -38,6 +38,7 @@ from coverwin.cli import (
     SIZES_HEADER,
     _SIZES_FLOATS,
     _SUMMARY_FLOATS,
+    _int_list,
     _line,
     _make_source,
     _make_strategy,
@@ -786,6 +787,105 @@ def test_config_unknown_key_fails(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def must_give(parser):
+    """What ``parser``'s command line must give: its positionals, required flags."""
+    argv = []
+    for action in parser._actions:
+        if not action.option_strings:
+            argv.append("ev.jsonl")
+        elif action.required:
+            argv += [action.option_strings[0], "out.jsonl"]
+    return argv
+
+
+HELP_CONFIG = ("help", "config")
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        *((" ".join(cmd), key) for cmd in build_parsers()[1] for key in HELP_CONFIG),
+        ("analyze", "file"),
+        ("estimate", "file"),
+        ("driftgen", "out"),
+    ],
+)
+def test_config_cannot_set_help_config_or_what_argv_must_give(
+    tmp_path, capsys, monkeypatch, command, key
+):
+    def run(*args):
+        raise AssertionError("the command ran")
+
+    for name in dir(coverwin.cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(coverwin.cli, name, run)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+    parser = build_parsers()[1][tuple(command.split())]
+    assert main([*command.split(), *must_give(parser), "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"coverwin: config error: unknown config key: {key}\n"
+
+
+# a value of each flag type that is no flag's default
+FLAG_TEXTS = {int: "4", float: "0.25", _int_list: "5,10", None: "B"}
+
+
+@pytest.mark.parametrize("command", [" ".join(cmd) for cmd in build_parsers()[1]])
+def test_a_config_key_is_exactly_a_flag_argv_may_omit(tmp_path, command):
+    """Each flag argv may omit, bar --help and --config, parses the same from
+    ``key = text`` in a file as from argv (``yes`` for a store_true flag given),
+    and a file sets no other dest of the parser."""
+    words = command.split()
+    parser = build_parsers()[1][tuple(words)]
+    base = [*words, *must_give(parser)]
+    cfg = tmp_path / "c.cfg"
+
+    def parse(*argv):
+        """Parse as ``main`` does: a first parse applies the file's values."""
+        top = build_parsers()[0]
+        top.parse_args([*base, *argv])
+        return vars(top.parse_args([*base, *argv])) | {"config": None}
+
+    default = parse()
+    settable = set()
+    for action in parser._actions:
+        if not action.option_strings or action.required:
+            continue
+        if action.dest in HELP_CONFIG:
+            continue
+        settable.add(action.dest)
+        flag = action.option_strings[-1]
+        if isinstance(action, argparse._StoreTrueAction):
+            text, argv = "yes", [flag]
+        else:
+            choices = [c for c in action.choices or () if c != action.default]
+            text = choices[0] if choices else FLAG_TEXTS[action.type]
+            argv = [flag, text]
+        cfg.write_text(f"{action.dest} = {text}\n", encoding="utf-8")
+        assert parse("--config", str(cfg)) == parse(*argv) != default, action.dest
+    others = {a.dest for a in parser._actions} | set(parser._defaults)
+    for dest in others - settable:
+        cfg.write_text(f"{dest} = 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^unknown config key: {dest}$"):
+            parse("--config", str(cfg))
+
+
+def test_bench_compare_takes_no_duration(tmp_path, capsys):
+    """None of compare's three rules reads a duration, so it takes none."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "compare", "--duration", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --duration 5" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("duration = 5\n", encoding="utf-8")
+    assert main(["bench", "compare", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coverwin: config error: unknown config key: duration\n"
+
+
 def test_config_bad_choice_fails(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("view = hexagram\n", encoding="utf-8")
@@ -1029,29 +1129,32 @@ def parse(argv):
 def reaches_the_strategy(tmp_path, capsys):
     threshold = ThresholdState(ct=0.8, sf=0.3, dr=0.2, mt=0.6, delta=0.02, w=7)
 
-    def check(windower, name):
+    def check(windower, name, duration=2222):
         assert windower.view.config == ViewConfig("directly_follows", 3, 1234)
         if name == "adaptive":
             assert windower.threshold == threshold
             assert windower.min_window_size == 9
         else:
-            assert windower.config == BaselineConfig(name, 11, 2222, "B")
+            assert windower.config == BaselineConfig(name, 11, duration, "B")
 
     for command in (["analyze", "x"], ["bench", "drift"], ["listen"]):
         for name in ("adaptive", *BASELINE_KINDS):
             argv = [*command, "--strategy", name, *RULE_FLAGS, *VIEW_FLAGS]
             check(_make_strategy(parse(argv)), name)
     # bench compare builds its three rules itself; each is checked as built,
-    # before its run moves the threshold
+    # before its run moves the threshold.  Neither baseline it runs reads a
+    # duration, so it takes no --duration and they keep the default.
     built = []
 
     def capturing(args):
         windower = _make_strategy(args)
-        check(windower, args.strategy)
+        check(windower, args.strategy, duration=BaselineConfig.duration)
         built.append(args.strategy)
         return windower
 
-    argv = ["bench", "compare", "--scenario", "steady3", *RULE_FLAGS, *VIEW_FLAGS]
+    i = RULE_FLAGS.index("--duration")
+    rule_flags = RULE_FLAGS[:i] + RULE_FLAGS[i + 2 :]
+    argv = ["bench", "compare", "--scenario", "steady3", *rule_flags, *VIEW_FLAGS]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coverwin.cli, "_make_strategy", capturing)
         assert main(argv) == 0

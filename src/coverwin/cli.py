@@ -82,12 +82,12 @@ def _write_table(outdir: str, name: str, rows: Sequence) -> None:
 
 
 def _int_list(text: str) -> list[int]:
-    """Comma-separated window sizes, each at least 1."""
+    """Comma-separated window sizes, each at least 1, two of them distinct."""
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         sizes = None
-    if sizes is None or any(n < 1 for n in sizes):
+    if sizes is None or any(n < 1 for n in sizes) or len(set(sizes)) < 2:
         raise argparse.ArgumentTypeError(f"not a size list: {text!r}")
     return sizes
 
@@ -248,25 +248,19 @@ _SUMMARY_FLOATS = FloatTexts(lambda x: repr(round(x, 6)))
 
 def _sizes_line(r: WindowRecord) -> str:
     """One sizes-CSV row: ``csv.writer``'s bytes, as ints and ``.6g`` floats
-    never need quoting.  Nonzero floats come from a bounded ``FloatTexts``;
-    a zero is printed here, as 0.0 and -0.0 are one key."""
-    c, t, texts = r.coverage, r.threshold, _SIZES_FLOATS
-    c = texts[c] if c else f"{c:.6g}"
-    t = texts[t] if t else f"{t:.6g}"
+    never need quoting.  Floats come from a bounded ``FloatTexts``."""
+    c, t = _SIZES_FLOATS[r.coverage], _SIZES_FLOATS[r.threshold]
     return f"{r.index},{r.size},{r.first_ts},{r.last_ts},{c},{t}\r\n"
 
 
 def _summary_line(r: WindowRecord) -> str:
     """The ``--verbose`` line of a window: ``json.dumps``'s bytes for its
-    summary, the (finite) floats rounded to 6 places, and a newline.  As in
-    the sizes row, a zero, which rounds to itself, is printed here."""
-    c, t, texts = r.coverage, r.threshold, _SUMMARY_FLOATS
-    c = texts[c] if c else repr(c)
-    t = texts[t] if t else repr(t)
+    summary, the floats rounded to 6 places by a ``FloatTexts``, and a newline."""
+    texts = _SUMMARY_FLOATS
     forced = "true" if r.force_closed else "false"
     return (
-        f'{{"index": {r.index}, "size": {r.size}, "coverage": {c}, '
-        f'"threshold": {t}, "force_closed": {forced}}}\n'
+        f'{{"index": {r.index}, "size": {r.size}, "coverage": {texts[r.coverage]}, '
+        f'"threshold": {texts[r.threshold]}, "force_closed": {forced}}}\n'
     )
 
 

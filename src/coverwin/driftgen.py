@@ -56,7 +56,7 @@ class Lcg:
 class VariantPool:
     """Weighted trace variants plus the pool's timing profile.
 
-    ``variants`` maps activity sequences to positive draw weights.
+    ``variants`` maps activity sequences to positive finite draw weights.
     ``inter_event_gap`` is the ms between consecutive events of a case,
     ``inter_case_gap`` the ms between consecutive case starts; a case gap
     smaller than sequence length * event gap makes cases overlap.
@@ -72,8 +72,8 @@ class VariantPool:
         for sequence, weight in self.variants:
             if not sequence:
                 raise ValueError("variant sequences must be non-empty")
-            if weight <= 0:
-                raise ValueError("variant weights must be positive")
+            if not 0 < weight < math.inf:  # also refuses NaN
+                raise ValueError("variant weights must be positive and finite")
             for activity in sequence:
                 if not activity or SEPARATOR in activity:
                     raise ValueError(f"bad activity name: {activity!r}")

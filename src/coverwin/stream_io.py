@@ -434,10 +434,10 @@ class FloatTexts(dict):
     Records repeat a few floats (the estimators depend only on n, s_n, f1
     and f2, and ``ct`` often sits at ``mt``): a hit costs about 40 ns where
     printing costs up to 0.6 µs (Python 3.11, a 2-vCPU Xeon VM).  Exact:
-    equal floats print alike but 0.0 and -0.0, one key, so callers print a
-    zero themselves and none is stored; keys are ``float``s, as a
-    ``WindowRecord``'s are (``1 == 1.0`` prints otherwise).  Bounded: a
-    miss on a full memo empties it first.
+    equal floats print alike, save 0.0 and -0.0, one key that prints as
+    0.0, the only zero a ``WindowRecord`` holds; keys are ``float``s, as a
+    record's are (``1 == 1.0`` prints otherwise).  Bounded: a miss on a
+    full memo empties it first.
     """
 
     def __init__(self, fmt: Callable[[float], str]) -> None:
@@ -447,7 +447,7 @@ class FloatTexts(dict):
     def __missing__(self, value: float) -> str:
         if len(self) >= FLOAT_TEXTS_MAX:
             self.clear()
-        text = self[value] = self._fmt(value)
+        text = self[value] = self._fmt(value + 0.0)
         return text
 
 
@@ -458,20 +458,17 @@ def window_record_to_json(record: WindowRecord) -> str:
     """One window record as a single JSON line with a stable key order.
 
     Same text as ``json.dumps(..., separators=(",", ":"))``: a record's
-    floats are finite (see ``WindowRecord``), so each prints as its repr.
-    Nonzero ones come from a bounded ``FloatTexts``; a zero is printed here,
-    as 0.0 and -0.0 are one key.
+    floats are finite and never -0.0 (see ``WindowRecord``), so each prints
+    as its repr, from a bounded ``FloatTexts``.
     """
     r = record
     texts = _JSON_FLOATS
-    cov, comp, chao1, ct = r.coverage, r.completeness, r.chao1, r.threshold
     events = ",".join(map(event_to_json_line, r.events))
     return (
         f'{{"index":{r.index!r},"size":{r.size!r},"first_ts":{r.first_ts!r},'
-        f'"last_ts":{r.last_ts!r},"coverage":{texts[cov] if cov else repr(cov)},'
-        f'"completeness":{texts[comp] if comp else repr(comp)},'
-        f'"chao1":{texts[chao1] if chao1 else repr(chao1)},'
-        f'"threshold":{texts[ct] if ct else repr(ct)},'
+        f'"last_ts":{r.last_ts!r},"coverage":{texts[r.coverage]},'
+        f'"completeness":{texts[r.completeness]},"chao1":{texts[r.chao1]},'
+        f'"threshold":{texts[r.threshold]},'
         f'"force_closed":{"true" if r.force_closed else "false"},"events":[{events}]}}'
     )
 

@@ -25,7 +25,7 @@ class _StreamHandler(socketserver.StreamRequestHandler):
         # looked up through the module per connection, so a replaced
         # stream_io.parse_event parses TCP lines as it parses file lines
         parse_event = stream_io.parse_event
-        for lines in _split_reads(self.rfile.read1):
+        for lines in _split_reads(self._read):
             if lines is None:
                 # every earlier line was windowed when its read was
                 self._submit(owner, [], _line_too_long())
@@ -41,6 +41,13 @@ class _StreamHandler(socketserver.StreamRequestHandler):
                     self._submit(owner, batch, exc)
                     batch = []
             self._submit(owner, batch)
+
+    def _read(self, size: int) -> bytes:
+        """``rfile.read1``; a connection the client reset reads as closed."""
+        try:
+            return self.rfile.read1(size)
+        except ConnectionError:
+            return b""
 
     def _submit(
         self,

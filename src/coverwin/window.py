@@ -96,10 +96,10 @@ class WindowRecord:
     regular closes ``coverage >= threshold`` holds.  ``force_closed``
     marks windows emitted by an end-of-stream flush.
 
-    Every float of a ``Windower``'s record is finite: coverage is clamped
-    to [0, 1]; ``estimates`` gives zeros, or chao1 >= s_n >= 1 and
-    completeness in (0, 1]; ``_next_threshold`` keeps ct in [mt, 0.99], and
-    ``ThresholdState`` refuses a non-finite mt; baselines carry 0.0.
+    Every float of a ``Windower``'s record is finite and none is -0.0:
+    coverage is the literal 0.0 or 1.0, or lies in (0, 1); ``estimates``
+    gives 0.0s, or chao1 >= s_n >= 1 and completeness in (0, 1];
+    ``_next_threshold`` keeps ct in [mt, 0.99] with mt > 0; baselines carry 0.0.
 
     The hand-written ``__init__`` fills ``__dict__`` in one update; no
     slots, so a record stays weakly referenceable on Python 3.10.
@@ -146,15 +146,15 @@ class WindowRecord:
 class Windower:
     """Buffers events, counts their species and emits window records.
 
-    ``process_event`` returns the window record this event closed, else
-    None; ``flush`` forces out the open window.  Subclasses decide only
-    where a window ends, through two hooks:
+    ``process_event`` returns the record of the window this event closed,
+    else None (an event closes at most one); ``flush`` forces out the open
+    window.  Subclasses decide only where a window ends, through two hooks:
 
     - ``_starts_window(event)`` is asked before an event joins a
       non-empty buffer; True closes the running window first, and the
       event opens the next one;
-    - ``_is_complete()`` is asked after the event's species are counted;
-      True closes the window with the event inside.
+    - ``_is_complete()`` is asked after every event's species are counted;
+      True closes the window with the event inside if none closed yet.
 
     Each record carries ``_threshold`` as its closing threshold: 0.0
     unless a subclass keeps a coverage threshold there.
@@ -181,7 +181,8 @@ class Windower:
         observe = self._stats.observe
         for species in self.view.extract(event):
             observe(species)
-        if self._is_complete():
+        # AdaptiveWindow's curve evidence needs every event, so ask first
+        if self._is_complete() and closed is None:
             closed = self._close(force=False)
         return closed
 

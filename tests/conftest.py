@@ -82,17 +82,18 @@ def ref_coverage(n: int, s: int, f1: int, f2: int) -> float:
 
 
 def dumps_window_record(record: WindowRecord) -> str:
-    """The json.dumps form window_record_to_json must reproduce."""
+    """The json.dumps form window_record_to_json must reproduce; a record
+    holds no -0.0, so a zero of either sign is given as 0.0."""
     return json.dumps(
         {
             "index": record.index,
             "size": record.size,
             "first_ts": record.first_ts,
             "last_ts": record.last_ts,
-            "coverage": record.coverage,
-            "completeness": record.completeness,
-            "chao1": record.chao1,
-            "threshold": record.threshold,
+            "coverage": record.coverage + 0.0,
+            "completeness": record.completeness + 0.0,
+            "chao1": record.chao1 + 0.0,
+            "threshold": record.threshold + 0.0,
             "force_closed": record.force_closed,
             "events": [
                 {"case": e.case_id, "activity": e.activity, "timestamp": e.timestamp}

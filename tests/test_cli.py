@@ -79,8 +79,9 @@ def checkout_env():
 
 
 def sizes_cells(r):
-    """A sizes-CSV row's cells, for ``csv.writer`` as the reference."""
-    cov, thr = format(r.coverage, ".6g"), format(r.threshold, ".6g")
+    """A sizes-CSV row's cells, for ``csv.writer`` as the reference; -0.0
+    prints as 0.0, the only zero a record holds."""
+    cov, thr = format(r.coverage + 0.0, ".6g"), format(r.threshold + 0.0, ".6g")
     return (r.index, r.size, r.first_ts, r.last_ts, cov, thr)
 
 
@@ -134,8 +135,8 @@ def json_dumps_of_the_summary(record):
     summary = {
         "index": record.index,
         "size": record.size,
-        "coverage": round(record.coverage, 6),
-        "threshold": round(record.threshold, 6),
+        "coverage": round(record.coverage + 0.0, 6),
+        "threshold": round(record.threshold + 0.0, 6),
         "force_closed": record.force_closed,
     }
     return json.dumps(summary) + "\n"
@@ -169,7 +170,7 @@ def record_of(value):
 def test_float_memos_print_what_plain_formatting_prints(values):
     """The memos start empty; a zero of either sign, looked up after the
     other, a value met twice and, in the sizes row, NaN and the infinities
-    print as the standard library prints them."""
+    print as the standard library prints them (-0.0 as 0.0)."""
     for _, memo, _ in MEMO_ENCODERS:
         memo.clear()
     for value in values:
@@ -179,7 +180,18 @@ def test_float_memos_print_what_plain_formatting_prints(values):
             if math.isfinite(value) or encode is _sizes_line:
                 assert encode(record) == reference(record)
     for _, memo, _ in MEMO_ENCODERS:
-        assert all(memo) and all(type(v) is float for v in memo)
+        assert all(type(v) is float for v in memo)
+
+
+def test_float_memos_print_either_zero_as_zero():
+    """0.0 and -0.0 are one key; it holds the text of 0.0 whichever sign
+    comes first."""
+    zeros = ((_JSON_FLOATS, "0.0"), (_SIZES_FLOATS, "0"), (_SUMMARY_FLOATS, "0.0"))
+    for memo, zero in zeros:
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            memo.clear()
+            assert (memo[first], memo[second]) == (zero, zero)
+            assert list(memo.items()) == [(0.0, zero)]
 
 
 def test_float_memos_hold_at_most_their_cap():
@@ -701,6 +713,24 @@ def test_driftgen_deeply_nested_spec_is_a_bad_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_driftgen_spec_with_a_weight_that_is_not_finite_is_a_bad_spec(
+    tmp_path, capsys
+):
+    spec_path = tmp_path / "spec.json"
+    out = tmp_path / "ev.jsonl"
+    for weight in ("NaN", "Infinity"):
+        spec_path.write_text(
+            '{"kind": "sudden", "total_cases": 10, "pools": [{"variants": ['
+            f'{{"activities": ["A", "B"], "weight": {weight}}}, '
+            '{"activities": ["A", "C"], "weight": 1.0}]}]}',
+            encoding="utf-8",
+        )
+        assert main(["driftgen", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("driftgen: bad spec: ") and "finite" in err, err
+        assert not out.exists()
+
+
 def test_driftgen_custom_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec = """
@@ -942,20 +972,35 @@ def test_bench_latency_single_trial(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--trials", "0"], ["--sizes", ","], ["--sizes", "100"], ["--sizes", "100,100"]],
+    "flags, code, message",
+    [
+        (["--trials", "0"], 1, "coverwin: "),
+        (["--sizes", ","], 2, "not a size list: ','"),
+        (["--sizes", "100"], 2, "not a size list: '100'"),
+        (["--sizes", "100,100"], 2, "not a size list: '100,100'"),
+    ],
     ids=["no-trials", "no-sizes", "one-size", "repeated-size"],
 )
-def test_bench_latency_rejects_unusable_input(capsys, flags):
-    assert main(["bench", "latency", "--sizes", "5,10", *flags]) == 1
+def test_bench_latency_rejects_unusable_input(capsys, flags, code, message):
+    # a size list without two distinct sizes is refused by the --sizes flag
+    # itself (exit 2); a trial count below 1 when the run starts (exit 1)
+    try:
+        result = main(["bench", "latency", "--sizes", "5,10", *flags])
+    except SystemExit as exc:
+        result = exc.code
+    assert result == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("coverwin: ")
+    if code == 1:
+        assert captured.err.startswith(message)
+    else:
+        assert message in captured.err
 
 
 def test_bench_latency_rejects_a_size_list_that_is_not_one(tmp_path, capsys):
-    # a size below 1 is refused by the flag, not later by the window it sizes
-    for sizes in ("5,x", "0,10"):
+    # a size below 1 is refused by the flag, not later by the window it sizes,
+    # and a list without two distinct sizes before any size is timed
+    for sizes in ("5,x", "0,10", ",", "100", "100,100"):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "latency", "--sizes", sizes])
         assert exc.value.code == 2

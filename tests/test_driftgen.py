@@ -81,8 +81,9 @@ def test_pool_validation():
         make_pool("")
     with pytest.raises(ValueError):
         make_pool("A|B")
-    with pytest.raises(ValueError):
-        make_pool("AB", weights=(0.0,))
+    for weight in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_pool("AB", weights=(weight,))
     with pytest.raises(ValueError):
         make_pool("AB", inter_event_gap=0)
     with pytest.raises(ValueError):

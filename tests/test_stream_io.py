@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -1225,6 +1226,39 @@ def test_stop_serving_drops_every_later_event_and_still_answers(capsys):
     assert [r.split(":")[0] for r in first + later] == ["ERR bad_json"] * 2
     assert stats == ServerStats(received=4, delivered=1, dropped=3, parse_errors=2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_client_that_resets_its_connection_ends_its_stream_quietly(capsys):
+    """A reset reads as a close: no socketserver traceback reaches stderr,
+    which carries listen's window lines, and the events before it count."""
+    got = []
+    server = StreamServer(got.append, port=0)
+    handler_done = threading.Event()
+    shutdown_request = server._server.shutdown_request
+
+    def last_step_of_a_handler(request):  # runs after handle_error, if any
+        shutdown_request(request)
+        handler_done.set()
+
+    server._server.shutdown_request = last_step_of_a_handler
+    server.start()
+    try:
+        sock, pipe = line_client(server.address)
+        lines = [event_to_json_line(Event("c", a, t)) for a, t in (("A", 1), ("B", 2))]
+        pipe.write("\n".join(lines) + "\ncaught up\n")
+        pipe.flush()
+        assert pipe.readline().startswith("ERR bad_json:")
+        # linger on, with a zero timeout: close() sends a reset
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        pipe.close()
+        sock.close()
+        assert handler_done.wait(5.0)
+    finally:
+        stats = server.stop()
+    assert "Traceback" not in capsys.readouterr().err
+    assert got == [Event("c", "A", 1), Event("c", "B", 2)]
+    # received = delivered + dropped
+    assert stats == ServerStats(received=2, delivered=2, dropped=0, parse_errors=1)
 
 
 def test_a_sender_that_outruns_windowing_is_held_back_by_tcp():

@@ -546,6 +546,17 @@ def test_record_estimates_are_those_of_its_own_activities(pairs, strategy):
         assert (r.chao1, r.completeness, r.coverage) == estimates(stats)
 
 
+class TwoHookWindow(Windower):
+    """A rule on both hooks: ``a0`` opens a window and completes it, so an
+    ``a0`` after other events closes their window, then is complete alone."""
+
+    def _starts_window(self, event):
+        return event.activity == "a0"
+
+    def _is_complete(self):
+        return self._buffer[-1].activity == "a0"
+
+
 STRATEGIES = {
     "adaptive": lambda view: AdaptiveWindow(view),
     COUNT_TUMBLING: lambda view: BaselineWindow(view, BaselineConfig(COUNT_TUMBLING)),
@@ -555,6 +566,7 @@ STRATEGIES = {
     LANDMARK: lambda view: BaselineWindow(
         view, BaselineConfig(LANDMARK, landmark_activity="a0")
     ),
+    "two_hooks": TwoHookWindow,
 }
 
 
@@ -620,9 +632,9 @@ def test_every_record_float_is_finite_and_in_range(
     state, min_size, kind, ngram_order, case_timeout, steps
 ):
     """What ``WindowRecord`` promises, for every strategy over one stream:
-    each float is finite, coverage and completeness are in [0, 1], the
-    adaptive threshold is in [mt, 0.99], baselines carry 0.0, and the
-    windows hold every event."""
+    each float is finite and none is -0.0, coverage and completeness are
+    in [0, 1], the adaptive threshold is in [mt, 0.99], baselines carry
+    0.0, and the windows hold every event."""
     events = []
     ts = 0
     for case, activity, gap in steps:
@@ -643,6 +655,8 @@ def test_every_record_float_is_finite_and_in_range(
         for r in records:
             floats = (r.coverage, r.completeness, r.chao1, r.threshold)
             assert all(map(math.isfinite, floats)), r
+            # the record encoders print -0.0 as 0.0
+            assert all(math.copysign(1.0, x) == 1.0 for x in floats), r
             assert 0.0 <= r.coverage <= 1.0 and 0.0 <= r.completeness <= 1.0, r
             if isinstance(win, AdaptiveWindow):
                 assert state.mt <= r.threshold <= CT_CEILING, r

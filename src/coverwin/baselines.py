@@ -8,6 +8,7 @@ because no coverage threshold is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .views import Event, SpeciesView
@@ -45,18 +46,26 @@ class BaselineWindow(Windower):
     ms past the window's first event arrives, and that event opens the
     next window; a landmark event likewise closes the running window
     first and then starts (and belongs to) the next one.
+
+    Each kind's checks are fixed at construction: a count window completes
+    at its count and never starts a window early; time and landmark windows
+    only start one (their count is infinite).
     """
 
     def __init__(self, view: SpeciesView, config: BaselineConfig) -> None:
         super().__init__(view)
         self.config = config
+        self._count = config.count if config.kind == COUNT_TUMBLING else math.inf
+        if config.kind == TIME_TUMBLING:
+            self._starts_window = self._duration_passed
+        elif config.kind == LANDMARK:
+            self._starts_window = self._is_landmark
 
-    def _starts_window(self, event: Event) -> bool:
-        cfg = self.config
-        if cfg.kind == TIME_TUMBLING:
-            return event.timestamp - self._buffer[0].timestamp >= cfg.duration
-        return cfg.kind == LANDMARK and event.activity == cfg.landmark_activity
+    def _duration_passed(self, event: Event) -> bool:
+        return event.timestamp - self._buffer[0].timestamp >= self.config.duration
+
+    def _is_landmark(self, event: Event) -> bool:
+        return event.activity == self.config.landmark_activity
 
     def _is_complete(self) -> bool:
-        cfg = self.config
-        return cfg.kind == COUNT_TUMBLING and len(self._buffer) >= cfg.count
+        return len(self._buffer) >= self._count

@@ -34,11 +34,14 @@ CSV_HEADER = ("case_id", "activity", "timestamp")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
 
-# the exact line event_to_json_line writes: strings without escapes or
-# control characters are their own value, and an integer of at most 18
-# digits stays far below int()'s digit limit
+# the exact line event_to_json_line writes, for a valid event only, so a
+# match needs no further check: strings without escapes or control
+# characters are their own value, non-empty, with no whitespace at either
+# end (``\s`` is what str.strip removes) and no ``|`` (SEPARATOR) in the
+# activity; an integer of at most 18 digits stays far below int()'s limit
 _COMPACT_EVENT = re.compile(
-    r'\{"case":"([^"\\\x00-\x1f]*)","activity":"([^"\\\x00-\x1f]*)",'
+    r'\{"case":"(?!\s)([^"\\\x00-\x1f]+)(?<!\s)",'
+    r'"activity":"(?!\s)([^"\\\x00-\x1f|]+)(?<!\s)",'
     r'"timestamp":(-?(?:0|[1-9][0-9]{0,17}))\}\n?'
 ).fullmatch
 
@@ -90,27 +93,28 @@ def parse_event(line: str, fmt: str = "jsonl", line_no: int | None = None) -> Ev
     "csv" (data row case_id,activity,timestamp).  Timestamps are integer
     milliseconds since the epoch or RFC-3339 strings; naive datetimes are
     taken as UTC.  Raises ParseError with a stable code on bad input.
+    A compact JSONL line (``_COMPACT_EVENT``) is valid once matched; any
+    other line goes through ``json.loads`` or ``csv.reader``, then one validator.
     """
     if fmt == "jsonl":
         match = _COMPACT_EVENT(line)
         if match:
             case, activity, timestamp = match.groups()
-            timestamp = int(timestamp)
-        else:
-            # an over-long integer raises ValueError, too deep nesting RecursionError
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
-            if not isinstance(obj, dict):
-                raise ParseError("bad_json", "event line must be a JSON object", line_no)
-            try:
-                case, activity = obj["case"], obj["activity"]
-                timestamp = obj["timestamp"]
-            except KeyError:
-                raise ParseError(
-                    "missing_field", "need keys case, activity, timestamp", line_no
-                ) from None
+            return Event(case, activity, int(timestamp))
+        # an over-long integer raises ValueError, too deep nesting RecursionError
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError("bad_json", f"invalid JSON: {exc}", line_no) from None
+        if not isinstance(obj, dict):
+            raise ParseError("bad_json", "event line must be a JSON object", line_no)
+        try:
+            case, activity = obj["case"], obj["activity"]
+            timestamp = obj["timestamp"]
+        except KeyError:
+            raise ParseError(
+                "missing_field", "need keys case, activity, timestamp", line_no
+            ) from None
     elif fmt == "csv":
         try:
             row = next(csv.reader([line]))
@@ -175,7 +179,7 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
     line numbers, blank lines counted.
     """
     fmt = source.kind
-    stats = ReplayStats()
+    delivered = dropped = 0
     last_ts: int | None = None
     header_seen = fmt != FILE_CSV
     line_no = 0
@@ -206,12 +210,12 @@ def replay(source: SourceConfig, sink: Callable[[Event], None]) -> ReplayStats:
                             f"timestamp went backwards at line {line_no}: "
                             f"{event.timestamp} < {last_ts}"
                         )
-                    stats.dropped += 1
+                    dropped += 1
                     continue
                 last_ts = event.timestamp
                 sink(event)
-                stats.delivered += 1
-    return stats
+                delivered += 1
+    return ReplayStats(delivered, dropped)
 
 
 # --- line reading and the TCP listener -------------------------------------

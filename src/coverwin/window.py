@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .abundance import AbundanceStats, coverage as coverage_of, estimates
 from .views import Event, SpeciesView
@@ -150,15 +151,18 @@ class Windower:
     else None (an event closes at most one); ``flush`` forces out the open
     window.  Subclasses decide only where a window ends, through two hooks:
 
-    - ``_starts_window(event)`` is asked before an event joins a
-      non-empty buffer; True closes the running window first, and the
-      event opens the next one;
+    - ``_starts_window(event)``, if a rule has one, is asked before an
+      event joins a non-empty buffer; True closes the running window
+      first, and the event opens the next one.  By default a rule has
+      none (the attribute is None), so no event pays for asking;
     - ``_is_complete()`` is asked after every event's species are counted;
       True closes the window with the event inside if none closed yet.
 
     Each record carries ``_threshold`` as its closing threshold: 0.0
     unless a subclass keeps a coverage threshold there.
     """
+
+    _starts_window: Callable[[Event], bool] | None = None
 
     def __init__(self, view: SpeciesView) -> None:
         self.view = view
@@ -167,15 +171,13 @@ class Windower:
         self._buffer: list[Event] = []
         self._stats = AbundanceStats()
 
-    def _starts_window(self, event: Event) -> bool:
-        return False
-
     def _is_complete(self) -> bool:
         return False
 
     def process_event(self, event: Event) -> WindowRecord | None:
         closed = None
-        if self._buffer and self._starts_window(event):
+        starts = self._starts_window
+        if starts is not None and self._buffer and starts(event):
             closed = self._close(force=False)
         self._buffer.append(event)
         observe = self._stats.observe

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from coverwin import BaselineConfig, BaselineWindow, SpeciesView, ViewConfig
-from coverwin.baselines import COUNT_TUMBLING, LANDMARK, TIME_TUMBLING
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coverwin import BaselineConfig, BaselineWindow, Event, SpeciesView, ViewConfig
+from coverwin.baselines import BASELINE_KINDS, COUNT_TUMBLING, LANDMARK, TIME_TUMBLING
 
 from conftest import make_events
 
@@ -115,3 +118,46 @@ def test_partition_is_lossless():
     rebuilt = [ev for rec in records for ev in rec.events]
     rebuilt.extend(final.events if final else ())
     assert rebuilt == events
+
+
+def reference_windows(events, config):
+    """(size, force_closed) of each window, split straight from the event list."""
+    if config.kind == COUNT_TUMBLING:
+        starts = range(0, len(events), config.count)
+        chunks = [events[i : i + config.count] for i in starts]
+        return [(len(chunk), len(chunk) < config.count) for chunk in chunks]
+    firsts = []
+    for i, ev in enumerate(events):
+        if not firsts or (
+            ev.timestamp - events[firsts[-1]].timestamp >= config.duration
+            if config.kind == TIME_TUMBLING
+            else ev.activity == config.landmark_activity
+        ):
+            firsts.append(i)
+    ends = firsts[1:] + [len(events)]
+    return [(end - first, end == len(events)) for first, end in zip(firsts, ends)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from("ABCD"), st.integers(0, 3000)), max_size=80
+    ),
+    kind=st.sampled_from(BASELINE_KINDS),
+    count=st.integers(1, 30),
+    duration=st.integers(1, 5000),
+    landmark=st.sampled_from("ABCD"),
+)
+def test_boundaries_match_a_direct_split_of_the_stream(
+    steps, kind, count, duration, landmark
+):
+    """Every kind, at any parameters, cuts an ordered stream where a plain
+    split of the event list does, and only the flushed window is forced."""
+    stamps = itertools.accumulate(gap for _, gap in steps)
+    events = [Event("c1", act, ts) for (act, _), ts in zip(steps, stamps)]
+    config = BaselineConfig(kind, count, duration, landmark)
+    win = BaselineWindow(SpeciesView(ViewConfig("activity_ngram")), config)
+    records = [r for r in (*run(win, events), win.flush()) if r is not None]
+    assert [(r.size, r.force_closed) for r in records] == reference_windows(
+        events, config
+    )

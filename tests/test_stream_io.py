@@ -275,11 +275,16 @@ event_objects = st.one_of(
     ),
     st.dictionaries(st.sampled_from(event_keys + ["extra"]), field_values),
 )
-# compact-shaped lines with one odd part: strings with quotes, escapes or
-# raw control characters, or a timestamp with non-ASCII digits, each of
-# which the compact match must leave to the JSON decoder
+# compact-shaped lines, plain or with one odd part: strings with quotes,
+# escapes or raw control characters, or a timestamp with non-ASCII digits,
+# each of which the compact match must leave to the JSON decoder
 odd_text = st.text(alphabet=st.sampled_from('ab "\\\x00\x1f\t\u00e4'), max_size=6)
-plain_strings = st.sampled_from(['"c"', '"a"', '" a "', '"\u00e4"', '"a|b"', '""'])
+# the compact match takes a string only if it has no whitespace at either
+# end, by str.strip's rule (Unicode too), and the activity only without "|"
+plain_strings = st.sampled_from(
+    ['"c"', '"a"', '" a "', '"\u00e4"', '"a|b"', '""', '"|a"', '"a|"']
+    + ['"\x85a"', '"a\u3000"', '"\u2028"', '"\xa0"', '"a\u2028b"', '"a b"']
+)
 odd_strings = st.one_of(
     st.builds(json.dumps, odd_text, ensure_ascii=st.booleans()),
     odd_text.map(lambda text: f'"{text}"'),  # raw, often no valid JSON
@@ -291,6 +296,7 @@ odd_timestamps = st.text(
 compact_lines = st.builds(
     lambda parts, end: compact_line(*parts) + end,
     st.one_of(
+        st.tuples(plain_strings, plain_strings, plain_timestamps),
         st.tuples(odd_strings, plain_strings, plain_timestamps),
         st.tuples(plain_strings, odd_strings, plain_timestamps),
         st.tuples(plain_strings, plain_strings, odd_timestamps),

@@ -557,6 +557,18 @@ class TwoHookWindow(Windower):
         return self._buffer[-1].activity == "a0"
 
 
+def test_a_start_hook_defined_as_a_method_is_asked():
+    """The core skips ``_starts_window`` only for a rule without one: a
+    subclass method is asked, so ``a0`` closes the window before it."""
+    win = TwoHookWindow(SpeciesView(ViewConfig(ACTIVITY_NGRAM)))
+    events = make_events(["A", "B", "a0", "C"])
+    records = [r for ev in events if (r := win.process_event(ev)) is not None]
+    assert [r.events for r in (*records, win.flush())] == [
+        tuple(events[:2]),
+        tuple(events[2:]),
+    ]
+
+
 STRATEGIES = {
     "adaptive": lambda view: AdaptiveWindow(view),
     COUNT_TUMBLING: lambda view: BaselineWindow(view, BaselineConfig(COUNT_TUMBLING)),

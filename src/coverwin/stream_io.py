@@ -1,8 +1,8 @@
 """Event ingestion and result serialization.
 
 Inputs: JSON-lines or CSV event files replayed in file order, or a
-line-delimited TCP listener (its socket handler is in ``tcp``), both
-split into lines by ``_split_reads``.
+line-delimited TCP listener (its line protocol is here, its socket glue
+in ``tcp``), both split into lines by ``_split_reads``.
 All paths funnel into a single ordered pipeline; timestamps must be
 non-decreasing.  In strict mode a timestamp regression is an error, in
 lenient mode the offending event is dropped and counted.  The TCP
@@ -361,6 +361,44 @@ class StreamServer:
         with self._lock:
             self._closed = True
             return replace(self.stats)
+
+    def _serve(
+        self, read: Callable[[int], bytes], reply: Callable[[str], None]
+    ) -> None:
+        # read from the module global per connection, so a replaced
+        # parse_event parses TCP lines as it parses file lines
+        parse = parse_event
+        for lines in _split_reads(read):
+            if lines is None:
+                # every earlier line was windowed when its read was
+                self._submit(reply, [], _line_too_long())
+                continue
+            batch: list[Event] = []
+            for line in lines:
+                if not line:
+                    continue
+                try:
+                    batch.append(parse(line, "jsonl"))
+                except ParseError as exc:
+                    # window the events before a bad line ahead of its reply
+                    self._submit(reply, batch, exc)
+                    batch = []
+            self._submit(reply, batch)
+
+    def _submit(
+        self,
+        reply: Callable[[str], None],
+        batch: list[Event],
+        error: ParseError | None = None,
+    ) -> None:
+        """Window ``batch``, answer its out-of-order events, then ``error``."""
+        if batch or error:
+            rejected = self._deliver(batch, parse_error=error is not None)
+            if self.strict_order:
+                for _ in range(rejected):
+                    reply("ERR out_of_order: timestamp went backwards")
+            if error:
+                reply(f"ERR {error.code}: {error}")
 
     def _deliver(self, batch: list[Event], parse_error: bool = False) -> int:
         """Window the in-order events of ``batch`` through ``on_event``,

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coverwin
-from coverwin import driftgen
+from coverwin import driftgen, stream_io
 from coverwin.baselines import BASELINE_KINDS, BaselineConfig
 from coverwin.bench import drift_adaptation_stats, first_window_at_case, run_stream
 from coverwin.cli import (
@@ -54,10 +54,12 @@ from coverwin.stream_io import (
     FILE_CSV,
     FLOAT_TEXTS_MAX,
     _JSON_FLOATS,
+    ServerStats,
     SourceConfig,
     StopServing,
     StreamServer,
     event_to_json_line,
+    parse_event,
     window_record_to_json,
     write_events_jsonl,
 )
@@ -1492,8 +1494,12 @@ def test_listen_stops_cleanly_when_an_output_fails(
     summary = dict(pair.split("=") for pair in out.split())
     assert indices("\n".join(window_lines)) == list(range(int(summary["windows"])))
     delivered, dropped = int(summary["events"]), int(summary["dropped"])
-    # every event is received; late ones count only if they came before stop()
-    assert events <= delivered + dropped <= events + len(late), out
+    # the summary is stop()'s copy: reads a handler hands over after it count
+    # only in the live counters, final once every connection has drained
+    live = server.stats
+    assert events <= live.received == live.delivered + live.dropped
+    assert delivered == live.delivered
+    assert delivered + dropped <= min(live.received, events + len(late)), out
     if mid_run:
         assert delivered < events
     else:
@@ -1509,6 +1515,43 @@ def test_listen_stops_cleanly_when_an_output_fails(
     assert len(sizes) == int(summary["windows"]) and sum(sizes) == delivered
     assert str(late_ts) not in healthy
     assert len(opened) == 2 and all(fp.closed for fp in opened)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_listen_summary_counts_what_was_handed_over_before_shutdown(
+    capsys, monkeypatch
+):
+    """The summary is ``stop()``'s copy of the counters.  Reads a handler
+    hands over after it, here those of the send whose first window failed
+    an output, count as received and dropped in the live ``stats`` only.
+    A parse that stalls at the 2000th line holds its read back past the copy."""
+    calls = []
+
+    def stalling(*args):
+        calls.append(args[0])
+        if len(calls) == 2000:
+            time.sleep(0.3)
+        return parse_event(*args)
+
+    monkeypatch.setattr(stream_io, "parse_event", stalling)
+    args = build_parsers()[0].parse_args(
+        ["listen", "--port", "0", "--strategy", "count_tumbling", "--count", "2"]
+        + ["--quiet", "--windows-out", "/dev/full"]
+    )
+    with listening(args) as (server, stop, result):
+        with connect(server.address[1]) as sock:
+            lines = [event_to_json_line(Event("c", "A", t)) + "\n" for t in range(3000)]
+            sock.sendall("".join(lines).encode("utf-8"))
+            drain(sock)
+        assert stop.is_set()
+    assert result == [1]
+    summary = dict(pair.split("=") for pair in capsys.readouterr().out.split())
+    delivered, dropped = int(summary["events"]), int(summary["dropped"])
+    # the first read, which ends before line 2000, closed the failing window
+    assert delivered == 2 and delivered + dropped < 2000
+    assert server.stats == ServerStats(
+        received=3000, delivered=2, dropped=2998, parse_errors=1
+    )
 
 
 def test_listen_stops_cleanly_when_stderr_fails(tmp_path, capsys, monkeypatch):

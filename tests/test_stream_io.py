@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import importlib
 import io
@@ -889,6 +890,22 @@ def handle_in_process(read, strict_order=True, write=None):
     finally:
         stats = server.stop()
     return log, stats
+
+
+def test_the_socket_glue_imports_no_coverwin_module():
+    """``tcp`` holds only socket code: the line protocol its handler runs is
+    ``StreamServer._serve``, so it needs nothing of coverwin."""
+    tree = ast.parse(Path(stream_io.__file__).with_name("tcp.py").read_bytes())
+    imported = [
+        "." * node.level + (node.module or "")
+        if isinstance(node, ast.ImportFrom)
+        else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "socketserver" in imported
+    assert [name for name in imported if name.startswith((".", "coverwin"))] == []
 
 
 def test_tcp_lines_are_parsed_through_the_module_attribute(monkeypatch):
